@@ -115,7 +115,6 @@ def warmup(paths: list[str], num_cpus: int) -> None:
     out = "/tmp/mlp_bench_warmup"
     shutil.rmtree(out, ignore_errors=True)
     route.route_partitioned(paths[: min(16, len(paths))], out,
-                            concurrency=(1, num_cpus),
                             override_num_blocks=4 * num_cpus)
     shutil.rmtree(out, ignore_errors=True)
 
@@ -134,7 +133,6 @@ def run_flagship(paths: list[str], out_dir: str, *,
     # block count sized by DATA (≈64k rows/block), not by CPU count
     nb = max(32, total_rows // 65536)
     lineage = route.route_partitioned(paths, out_dir,
-                                      concurrency=(1, num_cpus),
                                       override_num_blocks=nb)
     t_route = time.perf_counter() - t0
 
@@ -143,7 +141,7 @@ def run_flagship(paths: list[str], out_dir: str, *,
     # batch); coalescing the read into ~0.5M-row blocks cuts the
     # fold's scheduling overhead ~2x (184 tiny read tasks → ~64)
     t1 = time.perf_counter()
-    filter_fn, spec = sink_defs.make_main_ops()
+    spec = sink_defs.make_main_ops()[1]
     agg_nb = max(2 * num_cpus, total_rows // 524288)
     ops_ds = route.read_sink(out_dir, "slow_ops",
                              columns=["doc_id", "ns", "op", "app_name",

@@ -6,7 +6,7 @@ capabilities of mhelmstetter/mongo-log-parser (reference at
 Architecture (SURVEY.md §7):
 
     read_parquet → classify+filter (map_batches, vectorized, zero-copy Arrow)
-                → redact/shape-hash (stateful actor pool)
+                → redact/shape-hash (stateful, built once per worker)
                 → enrich (broadcast ns→metadata dict lookup)
                 → route (fan-out to per-sink parquet + lineage metrics)
                 → per-sink: partial-agg (map_batches) → groupby merge → sinks

@@ -83,7 +83,9 @@ def cmd_analyze(args):
         # report sections stay reference-shaped)
         from .pipelines.driver_legacy import driver_stats_single_pass
 
-        driver_stats_single_pass(analyze.classify(_load(args))).to_csv(
+        cds = analyze.classify(_load(args), redact=not args.no_redact,
+                               filter_config=fc, ns_filter=nf)
+        driver_stats_single_pass(cds).to_csv(
             os.path.join(args.out, "driver_stats_single_pass.csv"),
             index=False)
     # K3 structured JSON report + K4 static HTML + K5 console tables

@@ -193,7 +193,7 @@ class FoldSpec:
                     out[f"_vals_{m}"] = np.split(vv[order],
                                                  np.cumsum(counts)[:-1])
         for c, out_name in self.bool_count_cols.items():
-            w = df[c].fillna(False).to_numpy(dtype=np.float64)
+            w = df[c].to_numpy(dtype=np.float64, na_value=0.0)
             out[f"_bsum_{c}"] = np.bincount(
                 ng, weights=w, minlength=n_groups).astype(np.int64)
         for c, null_label in self.countmap_cols.items():

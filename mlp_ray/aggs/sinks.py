@@ -2,9 +2,13 @@
 tables (SURVEY.md §2.5 A1-A12, §2.6 T4) re-expressed as FoldSpecs over
 the classified event table.
 
-Each ``make_*`` returns ``(filter_fn, FoldSpec)`` where ``filter_fn``
-is a vectorized Arrow predicate selecting the sink's rows (the fan-out
-routing masks computed by ``stages.classify``).
+Each ``make_*`` returns ``(mask_fn, FoldSpec)`` where ``mask_fn`` maps
+a classified Arrow batch to the boolean row mask selecting the sink's
+rows (built on the fan-out routing masks computed by
+``stages.classify``).  ``run_fold`` callers apply it with
+``batch.filter(mask_fn(batch))``; the single-pass report
+(``analyze._analysis_jobs``) indexes its shared per-batch pandas frame
+with the null-filled mask.
 """
 
 from __future__ import annotations
@@ -17,12 +21,10 @@ from .fold import FoldSpec
 UNKNOWN_APP = "unknown"
 
 
-def _filter(mask_col: str, extra=None):
-    def fn(batch: pa.Table) -> pa.Table:
+def _mask(mask_col: str, extra=None):
+    def fn(batch: pa.Table) -> pa.ChunkedArray:
         m = batch[mask_col]
-        if extra is not None:
-            m = pc.and_(m, extra(batch))
-        return batch.filter(m)
+        return m if extra is None else pc.and_(m, extra(batch))
     return fn
 
 
@@ -55,7 +57,7 @@ def make_main_ops(by_shard: bool = False):
                          "is_change_stream": "change_stream_count"},
         sample_by="duration_ms",
     )
-    return _filter("r_ops"), spec
+    return _mask("r_ops"), spec
 
 
 # --- A2: TTL operations (LogParser.java:938-970) — the ttl_delete
@@ -66,7 +68,7 @@ def make_ttl(by_shard: bool = False):
         metrics={"duration_ms": ("min", "max", "avg"),
                  "nret": ("sum", "avg")},
     )
-    return _filter("r_ops", lambda b: pc.equal(b["op"], "ttl_delete")), spec
+    return _mask("r_ops", lambda b: pc.equal(b["op"], "ttl_delete")), spec
 
 
 # --- A3: query-hash analysis (QueryHashAccumulator.java:25-47; entry
@@ -91,7 +93,7 @@ def make_query_hash(by_shard: bool = False):
         last_cols=["plan_summary"],
         sample_by="duration_ms",
     )
-    return _filter("r_ops", lambda b: pc.is_valid(b["query_hash"])), spec
+    return _mask("r_ops", lambda b: pc.is_valid(b["query_hash"])), spec
 
 
 # --- A4: plan-cache analysis (PlanCacheAccumulator.java:28-51; gated
@@ -106,7 +108,7 @@ def make_plan_cache(by_shard: bool = False):
                          "is_collscan": "collscan_count"},
         countmap_cols={"replan_reason": None},
     )
-    return _filter("r_ops", lambda b: pc.and_(
+    return _mask("r_ops", lambda b: pc.and_(
         pc.is_valid(b["plan_cache_key"]), pc.is_valid(b["plan_summary"]))), spec
 
 
@@ -120,7 +122,7 @@ def make_index_stats(by_shard: bool = False):
                  "nret": ("sum",)},
         bool_count_cols={"is_collscan": "collscan_count"},
     )
-    return _filter("r_ops", lambda b: pc.is_valid(b["plan_summary"])), spec
+    return _mask("r_ops", lambda b: pc.is_valid(b["plan_summary"])), spec
 
 
 # --- A6: error codes (ErrorCodeAccumulator.java:24-44) -----------------
@@ -130,7 +132,7 @@ def make_errors(by_shard: bool = False):
         first_cols=["err_code", "ns"],
         col_dtypes={"err_code": "Int64"},
     )
-    return _filter("r_error"), spec
+    return _mask("r_error"), spec
 
 
 # --- A7: transactions (TransactionAccumulator.java:27-41; per-metric
@@ -146,13 +148,13 @@ def make_txn(by_shard: bool = False):
             "inactive_us": ("count", "min", "max", "avg"),
         },
     )
-    return _filter("r_txn"), spec
+    return _mask("r_txn"), spec
 
 
 # --- A9: operation-type stats (LogParserTask.java:1378-1382) -----------
 def make_op_stats(by_shard: bool = False):
     spec = FoldSpec(keys=_shard_keys(["op"], by_shard))
-    return _filter("r_ops"), spec
+    return _mask("r_ops"), spec
 
 
 def add_is_collscan(batch: pa.Table) -> pa.Table:
@@ -173,23 +175,3 @@ ALL_SINKS = {
     "op_stats": make_op_stats,
 }
 
-
-# Pandas equivalents of each sink's Arrow row filter, for the shared
-# one-conversion-per-batch report pass (analyze._analysis_jobs).
-# tests/test_flagship_golden.py asserts equivalence with the Arrow
-# filter fns on a classified fixture batch.
-MASKS_PD = {
-    "main_ops": lambda df: df["r_ops"],
-    "ttl": lambda df: df["r_ops"] & (df["op"] == "ttl_delete"),
-    "query_hash": lambda df: df["r_ops"] & df["query_hash"].notna(),
-    "plan_cache": lambda df: (df["r_ops"] & df["plan_cache_key"].notna()
-                              & df["plan_summary"].notna()),
-    "index_stats": lambda df: df["r_ops"] & df["plan_summary"].notna(),
-    "errors": lambda df: df["r_error"],
-    "txn": lambda df: df["r_txn"],
-    "op_stats": lambda df: df["r_ops"],
-}
-
-# extra columns the pandas masks read beyond the specs' own columns
-MASK_COLS = ["r_ops", "r_error", "r_txn", "op", "query_hash",
-             "plan_cache_key", "plan_summary"]

@@ -89,7 +89,7 @@ def classify_df(df: pd.DataFrame, redact: bool = True) -> pd.DataFrame:
     cat[has_op & ns_config] = "filtered_namespace"
     df["ignored_category"] = cat
 
-    df["is_collscan"] = df["plan_summary"].str.contains("COLLSCAN").fillna(False)
+    df["is_collscan"] = df["plan_summary"].str.contains("COLLSCAN", na=False)
 
     red = Redactor(enabled=redact)
     df["sanitized_query"] = df["raw_filter_json"].map(
@@ -126,7 +126,8 @@ def _fold(df, keys, metrics=None, bool_counts=None, countmaps=None,
         for col, stats in (metrics or {}).items():
             _metric_stats(g, col, stats, row)
         for col, name in (bool_counts or {}).items():
-            row[name] = int(g[col].fillna(False).sum())
+            row[name] = int(g[col].to_numpy(dtype=bool,
+                                            na_value=False).sum())
         for col, null_label in (countmaps or {}).items():
             vc: dict[str, int] = {}
             for v in g[col]:

@@ -3,26 +3,28 @@ per-sink aggregates (SURVEY.md §7.0).
 
 The reference's ``LogParser.main`` (LogParser.java:1670, traced in
 SURVEY.md §3.1) reads files line-by-line into 25k-line chunks and folds
-shared synchronized accumulators; here the same result tables are
-produced by a lazy Ray ``Dataset`` pipeline — streaming blocks,
-vectorized classify, actor-pool redaction, two-phase grouped folds.
+shared synchronized accumulators; here the same result tables come
+from one lazy Ray ``Dataset`` pass: the classify → redact → enrich
+chain runs as one fused ``map_batches`` task per batch
+(``classify``), and every report table is a ``SinkJob`` of the
+single-pass multi-sink fold (``_analysis_jobs`` → ``aggs.multifold``).
+Each table has exactly that one implementation.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from typing import Iterable
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min
 
 from ..aggs import sinks as sink_defs
-from ..aggs.fold import FoldSpec, run_fold
 from ..stages.classify import classify_batch
 from ..stages.enrich import NsEnricher
 from ..stages.redact import Redactor
@@ -81,12 +83,9 @@ def apply_user_filters(batch: pa.Table, filter_config=None,
 def apply_stage_chain(batch: pa.Table, redactor, enricher, *,
                       filter_config=None, ns_filter=None) -> pa.Table:
     """THE canonical per-batch stage order: classify → user filters →
-    COLLSCAN flag → redact → enrich.  The fused single-task route stage
-    (``route.FusedRouteStage``) executes this function directly; the
-    operator-per-stage ``classify()`` pipeline below mirrors the same
-    order stage by stage (it stays split so redaction can run as an
-    actor pool) — change the order HERE first, then keep classify() in
-    sync."""
+    COLLSCAN flag → redact → enrich.  Both the report's ``classify()``
+    and the fused route stage (``route.FusedRouteStage``) execute this
+    function, so the order lives only here."""
     b = classify_batch(batch)
     if filter_config is not None or ns_filter is not None:
         b = apply_user_filters(b, filter_config, ns_filter)
@@ -98,8 +97,8 @@ def apply_stage_chain(batch: pa.Table, redactor, enricher, *,
 # Per-worker-process cache for the classify chain's stateful pieces
 # (redaction shape memo + broadcast ns dict): Ray reuses worker
 # processes across tasks, so a module global gives build-once
-# semantics without actor-pool spin-up — the same trade the fused
-# route stage makes (route._fused_route_task).
+# semantics — the same trade the fused route stage makes
+# (route._fused_route_task).
 _CHAIN_CACHE: dict = {}
 
 
@@ -115,135 +114,16 @@ def _chain_task(batch: pa.Table, *, redact: bool,
 
 
 def classify(ds: rd.Dataset, *, redact: bool = True,
-             ns_meta=None, redact_concurrency: int | tuple = (1, 8),
-             filter_config=None, ns_filter=None,
-             use_actors: bool = False) -> rd.Dataset:
+             filter_config=None, ns_filter=None) -> rd.Dataset:
     """classify → optional user filters (F4/F5) → COLLSCAN flag →
     redaction → ns enrichment, as ONE ``map_batches`` task per batch
     (fusible with the upstream read; stateful pieces built once per
-    worker).  ``use_actors=True`` keeps the operator-per-stage actor
-    pools for when the stage state outgrows build-per-worker cost
-    (real models, large enrichment dicts)."""
-    if not use_actors and ns_meta is None:
-        import functools
-        return ds.map_batches(
-            functools.partial(_chain_task, redact=redact,
-                              filter_config=filter_config,
-                              ns_filter=ns_filter),
-            batch_format="pyarrow", zero_copy_batch=True)
-    ds = ds.map_batches(classify_batch, batch_format="pyarrow",
-                        zero_copy_batch=True)
-    if filter_config is not None or ns_filter is not None:
-        ds = ds.map_batches(
-            lambda b: apply_user_filters(b, filter_config, ns_filter),
-            batch_format="pyarrow", zero_copy_batch=True)
-    ds = ds.map_batches(sink_defs.add_is_collscan, batch_format="pyarrow",
-                        zero_copy_batch=True)
-    ds = ds.map_batches(Redactor, batch_format="pyarrow",
-                        fn_constructor_kwargs={"enabled": redact},
-                        concurrency=redact_concurrency)
-    ds = ds.map_batches(NsEnricher, batch_format="pyarrow",
-                        fn_constructor_kwargs={"meta": ns_meta},
-                        concurrency=redact_concurrency)
-    return ds
-
-
-def sink_aggregates(cds: rd.Dataset,
-                    which: Iterable[str] | None = None) -> dict[str, rd.Dataset]:
-    """Fan-out: one two-phase fold per sink over the classified stream."""
-    out = {}
-    for name in (which or sink_defs.ALL_SINKS):
-        filter_fn, spec = sink_defs.ALL_SINKS[name]()
-        filtered = cds.map_batches(filter_fn, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-        out[name] = run_fold(filtered, spec)
-    return out
-
-
-# --- A8: exact distinct conn ids per appName
-# (AppNameConnectionStatsAccumulator.java:17-65) ------------------------
-def app_connection_stats(cds: rd.Dataset) -> rd.Dataset:
-    def pairs(batch: pa.Table) -> pa.Table:
-        t = batch.select(["app_name", "ctx"])
-        t = t.set_column(0, "app_name",
-                         pc.fill_null(t["app_name"], sink_defs.UNKNOWN_APP))
-        return t.group_by(["app_name", "ctx"]).aggregate([])  # per-batch dedup
-
-    distinct_pairs = (
-        cds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["app_name", "ctx"]).count()
-    )
-    return (
-        distinct_pairs.groupby("app_name").count()
-        .map_batches(lambda t: t.rename_columns(["app_name",
-                                                 "distinct_conn_count"]),
-                     batch_format="pyarrow")
-    )
-
-
-# --- T4: top-50 slow planning (SlowPlanningAccumulator.java:28-58) -----
-def slow_planning_topk(cds: rd.Dataset, k: int = 50) -> rd.Dataset:
-    cols = ["planning_time_us", "ns", "op", "plan_summary", "sanitized_query",
-            "query_hash", "app_name", "doc_id"]
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        # fed from the ops path only (post namespace-filter), like the
-        # reference's SlowPlanningAccumulator
-        keep = pc.and_(batch["r_ops"], pc.is_valid(batch["planning_time_us"]))
-        t = batch.select(cols).filter(keep)
-        if t.num_rows <= k:
-            return t
-        order = pc.sort_indices(
-            t, sort_keys=[("planning_time_us", "descending"),
-                          ("doc_id", "descending")])
-        return t.take(order[:k])
-
-    # final reduce is driver-side on the pruned ≤ k×blocks rows — a
-    # Dataset.sort would pay a full range-partition exchange for it
-    pruned = cds.map_batches(local_topk, batch_format="pyarrow",
-                             zero_copy_batch=True).to_pandas()
-    out = (pruned.sort_values(["planning_time_us", "doc_id"],
-                              ascending=[False, False], kind="mergesort")
-           .head(k).reset_index(drop=True))
-    return rd.from_pandas(out)
-
-
-# --- A11: global timestamp range (LogParser.java:1183-1192) ------------
-def timestamp_range(ds: rd.Dataset) -> dict:
-    return ds.aggregate(Min("ts"), Max("ts"))
-
-
-# --- A10: processing stats (ProcessingStats.java:4-18,
-# LogParser.java:985-999) ----------------------------------------------
-def processing_stats(cds: rd.Dataset) -> pd.DataFrame:
-    def counters(batch: pa.Table) -> pa.Table:
-        def s(col):
-            return pc.sum(batch[col]).as_py() or 0
-        return pa.table({
-            "total_lines": [batch.num_rows],
-            "found_ops": [s("r_ops")],
-            "txn_events": [s("r_txn")],
-            "conn_events": [s("r_conn")],
-            "error_events": [s("r_error")],
-            "ignored": [s("r_ignored")],
-            "filtered_by_namespace": [
-                pc.sum(pc.equal(pc.fill_null(batch["ignored_category"], ""),
-                                "filtered_namespace")).as_py() or 0],
-        })
-
-    tbl = (cds.map_batches(counters, batch_format="pyarrow",
-                           zero_copy_batch=True)
-           .map_batches(lambda df: df.sum().to_frame().T,
-                        batch_format="pandas"))
-    return tbl.to_pandas().sum().to_frame().T
-
-
-def ignored_histogram(cds: rd.Dataset) -> rd.Dataset:
-    """K6: category histogram of ignored lines (LogParser.java:985-999)."""
-    def f(batch: pa.Table) -> pa.Table:
-        return batch.filter(batch["r_ignored"]).select(["ignored_category"])
-    return (cds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("ignored_category").count())
+    worker process)."""
+    return ds.map_batches(
+        functools.partial(_chain_task, redact=redact,
+                          filter_config=filter_config,
+                          ns_filter=ns_filter),
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
 # --- J1/A12: ctx-keyed driver-stats join
@@ -330,18 +210,6 @@ def conn_events(batch: pa.Table) -> pa.Table:
     return batch.filter(batch["r_conn"]).select(_CONN_COLS)
 
 
-def driver_stats(cds: rd.Dataset) -> rd.Dataset:
-    """Distributed driver stats: ctx-bucketed vectorized per-conn
-    rollup, then driver-key-bucketed vectorized rollup — no per-key
-    Python frames through either shuffle."""
-    from ..util import bucketed_groups
-
-    conn = cds.map_batches(conn_events, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    per = bucketed_groups(conn, ["ctx"], conn_meta_rollup)
-    return bucketed_groups(per, _DRIVER_KEY, driver_key_rollup)
-
-
 # --- single-pass multi-sink report ------------------------------------
 def _est_input_bytes(paths, ds) -> int | None:
     import os
@@ -378,7 +246,7 @@ def _one_file_bytes(f: str) -> int:
 def _add_raw_jobs(jobs: dict, SinkJob, or_empty, _ref_count,
                   p95_mode: str) -> None:
     """Raw-path (reference-exact) replacements for the ttl / errors /
-    op_stats sinks plus the ignored-aware timestamp range."""
+    op_stats sinks."""
     from ..aggs.fold import FoldSpec
 
     ttl_spec = FoldSpec(keys=["ns"],
@@ -464,24 +332,26 @@ def _add_raw_jobs(jobs: dict, SinkJob, or_empty, _ref_count,
     jobs["op_stats"] = SinkJob(ops_prep, ops_merge, or_empty(ops_merge),
                                bucket_keys=["op"])
 
-    def ts_prep(batch: pa.Table) -> pd.DataFrame:
-        # updateTimestamps runs inside the task (LogParserTask.java:
-        # 99-111) — ignored lines never reach it
-        keep = pc.and_(pc.invert(pc.fill_null(batch["pre_ignored"],
-                                              False)),
-                       pc.equal(batch["parse_status"], "ok"))
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pd.DataFrame()
-        mm = pc.min_max(t["ts"])
-        return pd.DataFrame({"min_ts": [mm["min"].as_py()],
-                             "max_ts": [mm["max"].as_py()]})
 
-    def ts_merge(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"min_ts": [df["min_ts"].min()],
-                             "max_ts": [df["max_ts"].max()]})
+def _ts_prep(batch: pa.Table) -> pd.DataFrame:
+    """A11 global timestamp range (LogParser.java:1183-1192).  Raw-log
+    input carries ``parse_status``/``pre_ignored``: updateTimestamps
+    runs inside the task (LogParserTask.java:99-111), so ignored and
+    malformed lines never reach it."""
+    if "parse_status" in batch.column_names:
+        batch = batch.filter(pc.and_(
+            pc.invert(pc.fill_null(batch["pre_ignored"], False)),
+            pc.equal(batch["parse_status"], "ok")))
+    mm = pc.min_max(batch["ts"])
+    if not mm["min"].is_valid:
+        return pd.DataFrame()
+    return pd.DataFrame({"min_ts": [mm["min"].as_py()],
+                         "max_ts": [mm["max"].as_py()]})
 
-    jobs["ts_range"] = SinkJob(ts_prep, ts_merge, or_empty(ts_merge))
+
+def _ts_merge(df: pd.DataFrame) -> pd.DataFrame:
+    return pd.DataFrame({"min_ts": [df["min_ts"].min()],
+                         "max_ts": [df["max_ts"].max()]})
 
 
 def _analysis_jobs(top_k: int = 50, by_shard: bool = False,
@@ -499,10 +369,10 @@ def _analysis_jobs(top_k: int = 50, by_shard: bool = False,
     LEGACY interpolation, op-type stats count the
     ``incrementOperationStat`` labels (``op_stat``/``op_stat2`` incl.
     the INDEX double increment), error codes get up to three
-    accumulations per line (processErrorCode :1040-1112), the TTL
-    table is fed by the driver-thread hook (LogParser.java:938-970),
-    and the timestamp range skips ignored lines (only task-parsed
-    lines reach updateTimestamps, :95-111)."""
+    accumulations per line (processErrorCode :1040-1112) and the TTL
+    table is fed by the driver-thread hook (LogParser.java:938-970).
+    The timestamp range skips ignored lines whenever the input carries
+    parse status (``_ts_prep``)."""
     from ..aggs.multifold import SinkJob
 
     def or_empty(fn):
@@ -513,9 +383,9 @@ def _analysis_jobs(top_k: int = 50, by_shard: bool = False,
     # ONE pandas conversion per batch shared by every fold sink: the
     # 8 sinks' needed columns overlap heavily, so converting each
     # sink's selection separately converted the hot columns 8x
-    fold_specs = {
-        name: sink_defs.ALL_SINKS[name](by_shard=by_shard)[1]
-        for name in sink_defs.ALL_SINKS if name not in exclude}
+    folds = {name: sink_defs.ALL_SINKS[name](by_shard=by_shard)
+             for name in sink_defs.ALL_SINKS if name not in exclude}
+    fold_specs = {name: spec for name, (_, spec) in folds.items()}
     for s in fold_specs.values():
         s.p95_mode = p95_mode
     if raw:
@@ -561,9 +431,6 @@ def _analysis_jobs(top_k: int = 50, by_shard: bool = False,
         return df
     union_cols: list[str] = list(dict.fromkeys(
         c for s in fold_specs.values() for c in s.needed_columns()))
-    for c in sink_defs.MASK_COLS:
-        if c not in union_cols:
-            union_cols.append(c)
     shared: dict = {"batch": None, "df": None}
 
     def shared_df(batch: pa.Table) -> pd.DataFrame:
@@ -572,18 +439,24 @@ def _analysis_jobs(top_k: int = 50, by_shard: bool = False,
             shared["df"] = batch.select(union_cols).to_pandas()
         return shared["df"]
 
+    def sink_rows(batch: pa.Table, mask_fn) -> pd.DataFrame:
+        keep = pc.fill_null(mask_fn(batch), False)
+        return shared_df(batch)[np.asarray(keep, dtype=bool)]
+
     for name, spec in fold_specs.items():
         jobs[name] = SinkJob(
-            prep=(lambda b, n=name, s=spec:
-                  s.partial_df(shared_df(b)[
-                      sink_defs.MASKS_PD[n](shared_df(b))])),
+            prep=(lambda b, m=folds[name][0], s=spec:
+                  s.partial_df(sink_rows(b, m))),
             bucket_merge=spec.merge_bucket,
             finalize=or_empty(_ref_count if raw else (lambda df: df)),
             bucket_keys=list(spec.keys))
 
     if raw:
         _add_raw_jobs(jobs, SinkJob, or_empty, _ref_count, p95_mode)
+    jobs["ts_range"] = SinkJob(_ts_prep, _ts_merge, or_empty(_ts_merge))
 
+    # A10 processing stats (ProcessingStats.java:4-18,
+    # LogParser.java:985-999)
     def stats_prep(batch: pa.Table) -> pd.DataFrame:
         def s(col):
             return int(pc.sum(batch[col]).as_py() or 0)
@@ -602,6 +475,7 @@ def _analysis_jobs(top_k: int = 50, by_shard: bool = False,
     jobs["processing_stats"] = SinkJob(stats_prep, stats_merge,
                                        or_empty(stats_merge))
 
+    # K6 category histogram of ignored lines (LogParser.java:985-999)
     def ignored_prep(batch: pa.Table) -> pd.DataFrame:
         t = batch.filter(batch["r_ignored"]).select(["ignored_category"])
         g = t.to_pandas().groupby("ignored_category", dropna=False)
@@ -615,6 +489,8 @@ def _analysis_jobs(top_k: int = 50, by_shard: bool = False,
                               or_empty(_ident_df),
                               bucket_keys=["ignored_category"])
 
+    # A8 exact distinct conn ids per appName
+    # (AppNameConnectionStatsAccumulator.java:17-65)
     def conns_prep(batch: pa.Table) -> pd.DataFrame:
         df = batch.select(["app_name", "ctx"]).to_pandas()
         df["app_name"] = df["app_name"].fillna(sink_defs.UNKNOWN_APP)
@@ -628,6 +504,8 @@ def _analysis_jobs(top_k: int = 50, by_shard: bool = False,
                                 or_empty(_ident_df),
                                 bucket_keys=["app_name"])
 
+    # T4 top-k slow planning, fed from the ops path only (post
+    # namespace filter) (SlowPlanningAccumulator.java:28-58)
     slow_cols = ["planning_time_us", "ns", "op", "plan_summary",
                  "sanitized_query", "query_hash", "app_name", "doc_id"]
 
@@ -648,6 +526,8 @@ def _analysis_jobs(top_k: int = 50, by_shard: bool = False,
     jobs["slow_planning"] = SinkJob(slow_prep, slow_merge,
                                     or_empty(slow_merge))
 
+    # J1/A12 two-pass driver stats: ctx-bucketed per-conn rollup, then
+    # the per-driver rollup on the driver
     jobs["driver_stats"] = SinkJob(
         prep=lambda b: conn_events(b).to_pandas(),
         bucket_merge=conn_meta_rollup,

@@ -43,9 +43,10 @@ same approximation flavor as the reference's own 50/50 purge blend);
 the purge-free path is bit-equal to the scalar accumulator
 (tests/test_driver_legacy.py).
 
-The production ``--drivers`` path stays the exact two-pass join
-(analyze.driver_stats); this variant is for endless-stream /
-bounded-heap deployments where a second pass is impossible.
+The production ``--drivers`` path stays the exact two-pass join (the
+``driver_stats`` job of analyze._analysis_jobs); this variant is for
+endless-stream / bounded-heap deployments where a second pass is
+impossible.
 """
 from __future__ import annotations
 
@@ -143,7 +144,11 @@ class LegacyDriverStatsAccumulator:
                 self.trackers[conn_id] = [key, ts_ms, ts_ms]
             else:
                 if tr[0] == UNKNOWN:
+                    # the upgrade rebuilds the tracker from its first
+                    # timestamp only (:158-165): earlier last-seen
+                    # timestamps are dropped
                     tr[0] = key
+                    tr[2] = tr[1]
                 tr[1] = min(tr[1], ts_ms)
                 tr[2] = max(tr[2], ts_ms)
         if auth_user is not None:

@@ -1755,26 +1755,26 @@ def _round_floats(df: pd.DataFrame, ndigits: int = 6) -> pd.DataFrame:
     return df
 
 
-def _flagship_cds(sf_dir: str):
-    """Classified flagship event stream.  The derived input is
-    persisted once per sf_dir (``ensure_flagship_parquet``) so the
-    DuckDB oracle can read the same rows; the Ray pipeline reads it
-    back column-pruned and re-runs classification + redaction itself."""
+def _flagship_table(sf_dir: str, table: str, *,
+                    by_shard: bool = False) -> pd.DataFrame:
+    """One report table of the single-pass analysis over the flagship
+    event stream.  The derived input is persisted once per sf_dir
+    (``ensure_flagship_parquet``) so the DuckDB oracle can read the
+    same rows; the Ray pipeline reads it back column-pruned and
+    re-runs classification + redaction itself.  Driver merge and exact
+    p95 are pinned, whatever the input-size gate would pick."""
     from ..sources.tokenized import ensure_flagship_parquet
-    from .analyze import ATTR_COLUMNS, classify
+    from . import analyze
 
-    path = ensure_flagship_parquet(sf_dir)
-    return classify(rd.read_parquet(path, columns=ATTR_COLUMNS))
+    others = frozenset(analyze._analysis_jobs()) - {table}
+    return analyze.run_full_analysis(
+        ensure_flagship_parquet(sf_dir), mode="driver", p95_mode="exact",
+        shards=by_shard, exclude=others)[table]
 
 
 def _flagship_sink(sf_dir: str, sink: str, *,
                    by_shard: bool = False) -> pd.DataFrame:
-    from ..aggs import sinks as sink_defs
-
-    filter_fn, spec = sink_defs.ALL_SINKS[sink](by_shard=by_shard)
-    filtered = _flagship_cds(sf_dir).map_batches(
-        filter_fn, batch_format="pyarrow", zero_copy_batch=True)
-    out = run_fold(filtered, spec, merge="driver").to_pandas()
+    out = _flagship_table(sf_dir, sink, by_shard=by_shard)
     # match DuckDB's CAST(... AS BIGINT): int64 while non-null, float64
     # with NaN if a group ever lacks the value (codeName-only errors
     # would otherwise crash the Int64→int64 cast)
@@ -1825,29 +1825,24 @@ def flagship_op_stats(sf_dir: str) -> pd.DataFrame:
 
 
 def flagship_slow_planning(sf_dir: str) -> pd.DataFrame:
-    from .analyze import slow_planning_topk
-    return slow_planning_topk(_flagship_cds(sf_dir)).to_pandas()
+    return _flagship_table(sf_dir, "slow_planning")
 
 
 def flagship_app_conns(sf_dir: str) -> pd.DataFrame:
-    from .analyze import app_connection_stats
-    return app_connection_stats(_flagship_cds(sf_dir)).to_pandas()
+    return _flagship_table(sf_dir, "app_conns")
 
 
 def flagship_driver_stats(sf_dir: str) -> pd.DataFrame:
-    from .analyze import driver_stats
-    return _round_floats(driver_stats(_flagship_cds(sf_dir)).to_pandas())
+    return _round_floats(_flagship_table(sf_dir, "driver_stats"))
 
 
 def flagship_ignored_hist(sf_dir: str) -> pd.DataFrame:
-    from .analyze import ignored_histogram
-    out = ignored_histogram(_flagship_cds(sf_dir)).to_pandas()
+    out = _flagship_table(sf_dir, "ignored")
     return out.rename(columns={"count()": "count"})
 
 
 def flagship_processing_stats(sf_dir: str) -> pd.DataFrame:
-    from .analyze import processing_stats
-    return processing_stats(_flagship_cds(sf_dir))
+    return _flagship_table(sf_dir, "processing_stats")
 
 
 # --- token-stream ops over the flagship tokens payload -----------------
@@ -1941,16 +1936,16 @@ def rawlog_main_ops(sf_dir: str) -> pd.DataFrame:
     # no ok-prefilter: classify() masks non-ok rows out of every sink
     # while keeping them countable for processing stats / ignored
     parsed = ds.map_batches(rawlog.parse_batch, batch_format="pyarrow")
-    filter_fn, spec = make_main_ops()
+    mask_fn, spec = make_main_ops()
     # the raw-path doc_id is a blake2b content hash the SQL oracle
     # cannot recompute — drop the arg-max sample column here (sample
     # semantics are oracle-attested by flagship_main_ops and
     # events_argmax_sample) so every remaining column is derivable by
     # DuckDB read_json over the same gz fixture
     spec.sample_by = None
-    filtered = classify(parsed).map_batches(filter_fn,
-                                            batch_format="pyarrow",
-                                            zero_copy_batch=True)
+    filtered = classify(parsed).map_batches(
+        lambda b: b.filter(mask_fn(b)), batch_format="pyarrow",
+        zero_copy_batch=True)
     return _round_floats(run_fold(filtered, spec, merge="driver").to_pandas())
 
 

@@ -78,7 +78,7 @@ def _partition_id(path: str) -> str:
 
 
 class RouterWriter:
-    """Actor-pool stage: split a classified batch by route masks and
+    """Route-write step: split a classified batch by route masks and
     write each sink's slice under its partition dir; return lineage."""
 
     def __init__(self, out_dir: str,
@@ -168,18 +168,17 @@ class RouterWriter:
 
 
 class FusedRouteStage:
-    """classify → redact → enrich → route-write as ONE actor-pool stage.
+    """classify → redact → enrich → route-write as ONE stage.
 
     Running these as separate ``map_batches`` stages would ship the
     heavy ``tokens`` column through the object store between every
-    stage (3 extra copies of the dominant payload) and spin up one
-    actor pool per stage; fusing them keeps the batch in-process from
-    classify to the sink write and needs a single pool.  The stateful
-    pieces (redaction memo, broadcast ns dict, writer dir cache) are
-    built once per actor in ``__init__`` (north rule: actor pools for
-    stateful stages)."""
+    stage (3 extra copies of the dominant payload); fusing them keeps
+    the batch in-process from classify to the sink write.  The
+    stateful pieces (redaction memo, broadcast ns dict, writer dir
+    cache) are built once in ``__init__``; ``_fused_route_task`` keeps
+    one instance per worker process."""
 
-    def __init__(self, out_dir: str, *, redact: bool = True, ns_meta=None,
+    def __init__(self, out_dir: str, *, redact: bool = True,
                  filter_config=None, ns_filter=None,
                  routes: dict[str, tuple[str, list[str]]] | None = None,
                  compression: str = "lz4"):
@@ -187,7 +186,7 @@ class FusedRouteStage:
         from ..stages.enrich import NsEnricher
 
         self._redactor = Redactor(enabled=redact)
-        self._enricher = NsEnricher(meta=ns_meta)
+        self._enricher = NsEnricher()
         self._writer = RouterWriter(out_dir, routes=routes,
                                     compression=compression)
         self._filter_config = filter_config
@@ -202,13 +201,10 @@ class FusedRouteStage:
         return self._writer(b)
 
 
-# Per-worker-process singleton for the task-pool variant: Ray reuses
-# worker processes across map_batches tasks, so lazy-initialising the
-# fused stage in a module global gives the same once-per-worker setup
-# as an actor pool without paying actor cold-start (fresh process +
-# imports per actor) on short jobs.  State is identical; choose
-# use_actors=True when the stage state is heavy (models, big dicts)
-# or must NOT be rebuilt per worker.
+# Per-worker-process singleton: Ray reuses worker processes across
+# map_batches tasks, so lazy-initialising the fused stage in a module
+# global builds its state once per worker without an actor pool's
+# cold-start (fresh process + imports per actor) on short jobs.
 _FUSED_CACHE: dict[tuple, FusedRouteStage] = {}
 
 
@@ -297,17 +293,9 @@ def _fused_raw_route_task(batch, **kw):
     return _fused_route_task(parse_batch(batch), **kw)
 
 
-class FusedRawRouteStage(FusedRouteStage):
-    """Actor-pool raw-log variant (use_actors=True with raw inputs)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..sources.rawlog import parse_batch
-        return super().__call__(parse_batch(batch))
-
-
-def _route_wave(wave: list[str], out_dir: str, *, redact, concurrency,
-                batch_size, filter_config, ns_filter, use_actors,
-                override_num_blocks, raw_logs=False) -> pd.DataFrame:
+def _route_wave(wave: list[str], out_dir: str, *, redact, batch_size,
+                filter_config, ns_filter, override_num_blocks,
+                raw_logs=False) -> pd.DataFrame:
     """One streaming pipeline over one wave of input partitions."""
     import functools
 
@@ -316,28 +304,18 @@ def _route_wave(wave: list[str], out_dir: str, *, redact, concurrency,
         from ..sources import rawlog
         ds = rawlog.read_raw_logs(wave,
                                   override_num_blocks=override_num_blocks)
-        stage_cls, task_fn = FusedRawRouteStage, _fused_raw_route_task
+        task_fn = _fused_raw_route_task
     else:
         ds = rd.read_parquet(wave,
                              columns=ATTR_COLUMNS + ["tokens", "n_tok"],
                              include_paths=True,
                              override_num_blocks=override_num_blocks)
-        stage_cls, task_fn = FusedRouteStage, _fused_route_task
-    if use_actors:
-        lineage_ds = ds.map_batches(
-            stage_cls, batch_format="pyarrow", batch_size=batch_size,
-            concurrency=concurrency,
-            fn_constructor_kwargs={"out_dir": out_dir, "redact": redact,
-                                   "filter_config": filter_config,
-                                   "ns_filter": ns_filter},
-        )
-    else:
-        lineage_ds = ds.map_batches(
-            functools.partial(task_fn, out_dir=out_dir,
-                              redact=redact, filter_config=filter_config,
-                              ns_filter=ns_filter),
-            batch_format="pyarrow", batch_size=batch_size)
-    lin = lineage_ds.to_pandas()
+        task_fn = _fused_route_task
+    lin = ds.map_batches(
+        functools.partial(task_fn, out_dir=out_dir,
+                          redact=redact, filter_config=filter_config,
+                          ns_filter=ns_filter),
+        batch_format="pyarrow", batch_size=batch_size).to_pandas()
     wall_ms = (time.perf_counter() - t0) * 1000.0
     lin = (lin[lin["sink"] != "none"]
            .groupby(["partition_id", "sink"], as_index=False)
@@ -370,24 +348,21 @@ def _commit_wave(wave: list[str], lin: pd.DataFrame, out_dir: str) -> None:
 
 
 def route_partitioned(input_files: list[str], out_dir: str, *,
-                      redact: bool = True, concurrency: int | tuple = (1, 8),
+                      redact: bool = True,
                       batch_size: int | None = None,
                       filter_config=None, ns_filter=None,
-                      use_actors: bool = False,
                       commit_every: int | None = None,
                       override_num_blocks: int | None = None,
                       raw_logs: bool = False) -> pd.DataFrame:
     """Route every not-yet-completed input partition; returns lineage
     (one row per partition × sink).
 
-    Defaults are the fast path: ``use_actors=False`` lets Ray Data FUSE
-    the parquet read with the route stage into one task
-    (``ReadParquet->MapBatches``), so the heavy tokens column goes
+    The route stage is a plain task (``_fused_route_task``), so Ray
+    Data FUSES the parquet read with it into one task
+    (``ReadParquet->MapBatches``) and the heavy tokens column goes
     disk → task heap → sink file without ever entering the object
     store; ``batch_size=None`` keeps whole read blocks as batches
-    (no coalesce barrier, bigger sink files).  Flip ``use_actors=True``
-    when the stage state becomes expensive enough to amortize actor
-    startup (e.g. a real model or a large enrichment dict).
+    (no coalesce barrier, bigger sink files).
 
     ``commit_every=N`` processes the input in waves of N partitions and
     commits the manifest after each wave, so a killed job loses at most
@@ -412,9 +387,8 @@ def route_partitioned(input_files: list[str], out_dir: str, *,
     for w0 in range(0, len(todo), step):
         wave = todo[w0:w0 + step]
         lin = _route_wave(wave, out_dir, redact=redact,
-                          concurrency=concurrency, batch_size=batch_size,
+                          batch_size=batch_size,
                           filter_config=filter_config, ns_filter=ns_filter,
-                          use_actors=use_actors,
                           override_num_blocks=override_num_blocks,
                           raw_logs=raw_logs)
         _commit_wave(wave, lin, out_dir)

@@ -2,8 +2,8 @@
 collection metadata" broadcast join).
 
 The small side is broadcast once — either captured directly (tiny
-static dims) or shipped via ``ray.put`` and fetched once per actor in
-``__init__`` — and applied per batch as a vectorized dictionary take.
+static dims) or shipped via ``ray.put`` and fetched once per instance
+in ``__init__`` — and applied per batch as a vectorized dictionary take.
 Never a shuffle join: at 10^12 rows the big side must not move for a
 20-row dimension table (SURVEY.md §2.4 J1-graft).
 """
@@ -34,10 +34,10 @@ def default_ns_meta() -> dict[str, dict[str, str]]:
 
 
 class NsEnricher:
-    """Actor-pool stage: left-join ``ns`` against the broadcast dict.
+    """Stateful stage: left-join ``ns`` against the broadcast dict.
 
     Accepts a plain dict or a ``ray.ObjectRef`` (fetched once per
-    actor — the broadcast read side of ``ray.put``).
+    instance — the broadcast read side of ``ray.put``).
     """
 
     def __init__(self, meta=None):

@@ -1,13 +1,13 @@
-"""Query-shape redaction / hashing — the stateful actor-pool stage.
+"""Query-shape redaction / hashing — the stateful per-batch stage.
 
 Re-implements the semantics of the reference's redaction subsystem
 (``LogRedactionUtil.java``: string redaction :963-973, digit→9 number
 redaction with ±1 sort-direction preservation :975-1014, smart regex
 redaction :367-382, ``sanitizeFilter`` :721-736) from scratch.  The
-walk is inherently per-record (arbitrary nested JSON), so it runs as a
-callable-class ``map_batches`` stage: regexes compiled and preserve
-sets built once per actor in ``__init__``, batches processed in
-``__call__`` (``concurrency=N`` actor pool).
+walk is inherently per-record (arbitrary nested JSON), so it is a
+callable class: regexes compiled and preserve sets built once in
+``__init__`` (one instance per worker process, ``analyze._CHAIN_CACHE``
+and ``route._FUSED_CACHE``), batches processed in ``__call__``.
 
 Adds columns:
   sanitized_query — redacted canonical filter JSON (or raw when

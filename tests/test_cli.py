@@ -177,3 +177,17 @@ def test_analyze_drivers_single_pass(fixture_paths, tmp_path):
     # the default two-pass sink still rides the report
     rep = json.load(open(os.path.join(out, "report.json")))
     assert "driverStats" in rep
+
+
+def test_analyze_drivers_single_pass_with_filters(fixture_paths, tmp_path):
+    """--drivers-single-pass classifies with the report's own redact /
+    namespace-filter settings; both driver-stats CSVs are written."""
+    import pandas as pd
+
+    out = str(tmp_path / "rep")
+    p = _run("analyze", fixture_paths[0], "--limit", "2000", "--out", out,
+             "--drivers-single-pass", "--ns", "app.*", "--no-redact")
+    assert p.returncode == 0, p.stderr[-2000:]
+    for name in ("driver_stats.csv", "driver_stats_single_pass.csv"):
+        df = pd.read_csv(os.path.join(out, name))
+        assert len(df) > 0 and (df["conn_count"] > 0).all(), name

@@ -159,6 +159,27 @@ def test_auth_before_metadata_matches():
     assert out["usernames"].tolist() == ["alice"]
 
 
+def test_upgrade_resets_last_timestamp():
+    """The UNKNOWN→key tracker upgrade (:158-165) rebuilds the tracker
+    from its FIRST timestamp and then applies the metadata timestamp:
+    the last-seen timestamp of a second "Connection accepted" for the
+    same conn id (conn-id reuse) is dropped.  The handlers are fed in
+    file-line order, the order the reference reads lines in."""
+    acc = LegacyDriverStatsAccumulator()
+    conn = {"ctx": "conn7"}
+    acc.track_start(conn, 1000)
+    acc.track_start(conn, 9000)
+    acc.accumulate({"doc_id": "m", "ctx": "conn7", "driver_name": "d",
+                    "driver_version": "v", "os_type": "os",
+                    "platform": "p", "compressors": "z",
+                    "server_version": None, "remote": "h:1",
+                    "username": None}, 5000)
+    acc.track_end(conn, 6000)
+    out = acc.finalize()
+    assert out["lifetime_max_ms"].tolist() == [5000]  # 6000 - 1000
+    assert out["lifetime_avg_ms"].tolist() == [5000]
+
+
 # --- real-corpus self-golden (same rationale as the two-pass one:
 # the reference's golden report has no driverStats section, so the
 # legacy path can only be pinned by its own attested output) ----------

@@ -72,11 +72,10 @@ def test_processing_stats(results, oracle_cdf):
     assert ps["ignored"] == int(oracle_cdf["r_ignored"].sum())
 
 
-def test_timestamp_range(fixture_paths, oracle_cdf):
-    ds = analyze.load_events(fixture_paths)
-    r = analyze.timestamp_range(ds)
-    assert pd.Timestamp(r["min(ts)"]) == oracle_cdf["ts"].min()
-    assert pd.Timestamp(r["max(ts)"]) == oracle_cdf["ts"].max()
+def test_timestamp_range(results, oracle_cdf):
+    r = results["ts_range"].iloc[0]
+    assert pd.Timestamp(r["min_ts"]) == oracle_cdf["ts"].min()
+    assert pd.Timestamp(r["max_ts"]) == oracle_cdf["ts"].max()
 
 
 @pytest.mark.parametrize("payload_gate", [0, None])
@@ -122,25 +121,6 @@ def test_shards_mode_partitions_every_sink(fixture_paths, results):
         m = collapsed.merge(base, on=keys, suffixes=("_shard", "_base"))
         assert len(m) == len(base), sink
         assert (m["count_shard"] == m["count_base"]).all(), sink
-
-
-def test_pandas_masks_match_arrow_filters(fixture_paths):
-    """The shared-frame report pass selects sink rows with pandas
-    predicates (sinks.MASKS_PD); they must agree with the Arrow
-    filter fns the per-sink fold pipelines use."""
-    from mlp_ray.aggs import sinks as sink_defs
-    from mlp_ray.pipelines.analyze import classify, load_events
-
-    cds = classify(load_events(fixture_paths)).limit(20000)
-    import pyarrow as pa
-    batch = pa.concat_tables(cds.iter_batches(batch_format="pyarrow",
-                                              batch_size=None))
-    df = batch.to_pandas()
-    for name in sink_defs.ALL_SINKS:
-        filter_fn, _ = sink_defs.ALL_SINKS[name]()
-        arrow_ids = set(filter_fn(batch)["doc_id"].to_pylist())
-        pd_ids = set(df.loc[sink_defs.MASKS_PD[name](df), "doc_id"])
-        assert arrow_ids == pd_ids, name
 
 
 def test_payload_gate_routes_merge(fixture_paths, monkeypatch):

@@ -13,8 +13,9 @@ from .util import assert_frames_match
 
 def _main_ops(ds):
     cds = classify(ds)
-    f, spec = make_main_ops()
-    return run_fold(cds.map_batches(f, batch_format="pyarrow"),
+    mask, spec = make_main_ops()
+    return run_fold(cds.map_batches(lambda b: b.filter(mask(b)),
+                                    batch_format="pyarrow"),
                     spec).to_pandas()
 
 
@@ -28,8 +29,9 @@ def test_block_layout_invariance(fixture_paths):
 def test_batch_size_invariance(fixture_paths):
     ds = load_events(fixture_paths)
     cds = classify(ds)
-    f, spec = make_query_hash()
-    filtered = cds.map_batches(f, batch_format="pyarrow")
+    mask, spec = make_query_hash()
+    filtered = cds.map_batches(lambda b: b.filter(mask(b)),
+                               batch_format="pyarrow")
     a = run_fold(filtered, spec, batch_size=1024).to_pandas()
     b = run_fold(filtered, spec, batch_size=16384).to_pandas()
     assert_frames_match(a, b, ["query_hash", "ns", "op"])

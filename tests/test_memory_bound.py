@@ -1,6 +1,6 @@
 """Driver memory-boundedness guard (r4 verdict next-round #8).
 
-The 100 TB posture of the 13-table report rests on per-stage state
+The 100 TB posture of the 14-table report rests on per-stage state
 that is groups x blocks, never row-scale: emit produces bounded
 partial rows, the (sink, bucket) distributed merge reduces them off
 the driver, and only finished tables (group-cardinality) come back.
@@ -70,7 +70,7 @@ def test_report_driver_rss_bounded(ray_session, membound_paths):
 
     # the run must have produced the full report (a cheap no-op
     # would trivially satisfy the memory bound)
-    assert len(res) == 13
+    assert len(res) == 14  # 13 tables + the A11 timestamp range
     assert len(res["main_ops"]) > 0
     assert int(res["processing_stats"]["total_lines"].iloc[0]) == _ROWS
 

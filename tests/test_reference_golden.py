@@ -311,7 +311,9 @@ def test_driver_stats_two_pass_self_golden(ray_session):
 
     parsed = rawlog.read_raw_logs(_LOGS).map_batches(
         rawlog.parse_batch, batch_format="pyarrow")
-    out = analyze.driver_stats(analyze.classify(parsed)).to_pandas()
+    others = frozenset(analyze._analysis_jobs()) - {"driver_stats"}
+    out = analyze.run_full_analysis(None, ds=parsed,
+                                    exclude=others)["driver_stats"]
     key = ["driver_name", "driver_version", "os_type", "platform",
            "compressors", "username"]
     out = out.sort_values(key).reset_index(drop=True)
