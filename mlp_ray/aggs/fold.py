@@ -1,38 +1,56 @@
-"""Generic two-phase grouped metric fold.
+"""Generic two-phase grouped metric fold on Arrow's hash aggregate.
 
 The reference folds every event into shared in-memory
 ``HashMap<Key, Entry>`` accumulators guarded by ``synchronized``
 (``Accumulator.java:90-154``, ``LogParserTask.java:163-199``) — a
 single-process design whose lock contention is the scaling ceiling
 (SURVEY.md §4).  Here the same count/sum/min/max/avg/p95 +
-first/last/arg-max-sample semantics are re-expressed Ray-Data-first:
+first/last/arg-max-sample semantics are re-expressed Ray-Data-first,
+and every per-batch step stays in Arrow:
 
-  phase 1 (``partial``): inside ``map_batches`` each batch is reduced
-    to one row per group — counts, sums, mins, maxes, per-metric
-    presence counts, value arrays for exact percentiles, (doc_id,
-    value) carriers for deterministic first/last/arg-max.  This is the
-    combiner: the all-to-all shuffle then moves only per-(group ×
-    block) partials, never raw rows, so hot keys (one namespace owns
-    ~50% of rows) cost one partial row per block instead of half the
-    dataset — the skew mitigation the north rule asks for.
+  phase 1 (``partial_table``): inside ``map_batches`` each Arrow batch
+    is reduced to one partial row per group — counts, sums, mins,
+    maxes, per-metric presence counts, value lists for exact
+    percentiles, ``(value, count)`` pair lists for count-maps and p95
+    sketch bins, ``(doc_id, value)`` carriers for deterministic
+    first/last/arg-max.  Every row is written as a one-row partial
+    and merged by phase 2's combine.  This is the combiner: the
+    shuffle moves only per-(group × block) partials, never raw rows,
+    so a hot key costs one partial row per block.
 
-  phase 2 (``merge``): a key-HASH-bucketed groupby merges partials —
-    each bucket task reduces ALL of its groups with one vectorized
-    pandas pass (``merge_bucket``) — sums of sums, min of mins,
-    concat of value arrays → exact p95 (numpy linear interpolation ==
-    DuckDB ``quantile_cont``).
+  phase 2 (``combine_table`` → ``readout``): partial rows are grouped
+    by ONE single-threaded ``group_by(keys).aggregate`` — sums of
+    sums, min of mins, plus a ``_row`` list whose flattening gives
+    every partial row its dense group code.  The codes re-gather the
+    value lists and the pair lists (pairs re-summed by a second
+    ``group_by``) and pick first/last/arg-max by one ``sort_indices``
+    over (code, order).  The result is again a partial, one row per
+    group (closed under merge: the salted first level and the
+    multifold bucket merge use it as is).  ``readout`` turns combined
+    rows into the final pandas table: exact quantiles in numpy over
+    the flattened values, sketch quantiles from the bin counts,
+    count-maps rendered to JSON.  ``merge_bucket`` is
+    ``readout ∘ combine_table``.
 
 Determinism (FIXTURES.md §4): "first"/"last"/sample fields are
-resolved by ``doc_id`` order (min doc_id first-wins; arg-max by
-``(value, doc_id)``), never arrival order — the reference is
-thread-timing-dependent here (``LogLineAccumulator.java:294-331``).
+resolved by the ``order_col`` (``doc_id``) compared as a string —
+first/last by min/max order, arg-max by ``(value, order)`` — never by
+arrival order; the reference is thread-timing-dependent here
+(``LogLineAccumulator.java:294-331``).  Groups come out in first
+appearance order (``ordered_group_by``) of the batch rows, which are
+sorted by ``order_col`` first when first/last/sample are asked for.
+Key nulls form their own group; NaN metric values count as missing.
 
 p95 is exact over all group values by default, not the reference's
 first-10k sample (``LogLineAccumulator.java:75``) — a documented
 deviation. At 10^12-row scale pass ``p95_mode="sketch"``: partials
-then carry a fixed 4096-bin log-spaced histogram per group (bounded
-state, ~0.7% bin width) instead of raw value arrays whose shuffle
-volume grows with the data.
+then carry per-group ``(bin, count)`` pairs of a fixed 4096-bin
+log-spaced histogram (bounded state, ~0.7% bin width) instead of raw
+value lists whose shuffle volume grows with the data.
+
+The public ``partial`` / ``combine_partials`` return a
+``pd.ArrowDtype``-backed view of the Arrow partial, so callers can
+``pd.concat`` them and hand the result to ``merge_bucket``.
 """
 
 from __future__ import annotations
@@ -44,11 +62,17 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 # any "pNN[.N]" stat token is a quantile (p50, p95, p99, p99.9) — they
-# all read from the SAME per-group value array / sketch, so extra
+# all read from the SAME per-group value list / sketch, so extra
 # quantiles add readout work only, never shuffle volume
 _QUANT_RE = re.compile(r"^p(\d{1,2}(?:\.\d+)?)$")
+
+# Arrow type of a key / first / last column per pinned pandas dtype
+_ARROW_TYPES = {"string": pa.string(), "Int64": pa.int64()}
+
+_SUM0 = pc.ScalarAggregateOptions(min_count=0)
 
 
 def _quantile_stats(stats) -> list[tuple[str, float]]:
@@ -65,7 +89,7 @@ class FoldSpec:
     keys: list[str]
     # metric col → subset of {"count","sum","min","max","avg"} plus
     # any "pNN[.N]" quantile tokens (p50/p95/p99/p99.9 — all read the
-    # same per-group value array/sketch; extra quantiles cost readout
+    # same per-group value list/sketch; extra quantiles cost readout
     # only, no extra shuffle volume)
     metrics: dict[str, tuple[str, ...]] = field(default_factory=dict)
     # first/last non-null value by doc_id order
@@ -86,13 +110,13 @@ class FoldSpec:
     # pinned so every partial/final block has an identical Arrow schema
     # regardless of which groups a block happens to contain
     col_dtypes: dict[str, str] = field(default_factory=dict)
-    # "exact": partials carry raw value arrays (golden-parity default).
-    # "sketch": partials carry a fixed-width log-spaced histogram per
-    # group — bounded state for 10^12-row scale; error = ~0.7% bin
-    # width + rank quantization that vanishes as groups grow. The same
-    # trade the reference makes with its first-10k sample cap
-    # (LogLineAccumulator.java:75), but deterministic and
-    # merge-order-independent.
+    # "exact": partials carry raw value lists (golden-parity default).
+    # "sketch": partials carry (bin, count) pairs of a fixed-width
+    # log-spaced histogram per group — bounded state for 10^12-row
+    # scale; error = ~0.7% bin width + rank quantization that vanishes
+    # as groups grow. The same trade the reference makes with its
+    # first-10k sample cap (LogLineAccumulator.java:75), but
+    # deterministic and merge-order-independent.
     p95_mode: str = "exact"
     # exact-quantile interpolation: "linear" (numpy/DuckDB
     # quantile_cont — the oracle default) or "weibull" (R-6, the
@@ -102,6 +126,9 @@ class FoldSpec:
 
     def _dtype(self, col: str) -> str:
         return self.col_dtypes.get(col, "string")
+
+    def _atype(self, col: str) -> pa.DataType:
+        return _ARROW_TYPES[self._dtype(col)]
 
     # ------------------------------------------------------------------
     def needed_columns(self) -> list[str]:
@@ -119,301 +146,355 @@ class FoldSpec:
         return list(seen)
 
     # ------------------------------------------------------------------
-    def partial(self, batch: pa.Table) -> pd.DataFrame:
-        """Reduce one Arrow batch to one partial row per group.
-
-        Fully vectorized: group membership is materialized once as an
-        integer code array (``ngroup``); every per-group quantity is
-        then a cython groupby agg, an ``np.bincount``, or a sorted
-        ``drop_duplicates`` pick — no Python-level per-group apply in
-        this per-batch hot path."""
-        return self.partial_df(batch.select(self.needed_columns())
-                               .to_pandas())
-
-    def partial_df(self, df: pd.DataFrame) -> pd.DataFrame:
-        """``partial`` over an existing pandas frame — the multi-sink
-        report pass converts each batch to pandas ONCE and feeds every
-        sink's partial from (a filtered view of) that shared frame."""
-        df = df[self.needed_columns()].copy()
-        if df.empty:
-            return self._empty_partial()
-        for k, lbl in self.key_fillna.items():
-            df[k] = df[k].fillna(lbl)
-        needs_order = bool(self.first_cols or self.last_cols or self.sample_by)
-        if needs_order:
-            df = df.sort_values(self.order_col, kind="mergesort")
-        g = df.groupby(self.keys, dropna=False, sort=False)
-        ng = g.ngroup().to_numpy()  # appearance order == g.size() order
-        n_groups = int(ng.max()) + 1 if len(ng) else 0
-
-        out = g.size().rename("count").to_frame()
-        for m, stats in self.metrics.items():
-            col = g[m]
-            out[f"_cnt_{m}"] = col.count()
-            if {"sum", "avg"} & set(stats):
-                out[f"_sum_{m}"] = col.sum()
-            if "min" in stats:
-                out[f"_min_{m}"] = col.min()
-            if "max" in stats:
-                out[f"_max_{m}"] = col.max()
-            if _quantile_stats(stats):
-                v = df[m].to_numpy(dtype=np.float64, na_value=np.nan)
-                valid = ~np.isnan(v)
-                gv, vv = ng[valid], v[valid]
-                if (self.p95_mode == "sketch"
-                        and n_groups * _SKETCH_BINS <= len(vv) + n_groups):
-                    # per-group log-histogram: (group, bin) bincount in
-                    # one shot, rows of the 2-D array are the sketches.
-                    # Chosen per batch ONLY when the dense (groups ×
-                    # 4096) array is no larger than the sparse
-                    # per-value encoding below — near the old
-                    # fixed-group-count cutoff a dense partial could
-                    # carry ~100× the raw values it summarizes
-                    bins = _sketch_bin(vv)
-                    flat = np.bincount(
-                        gv * _SKETCH_BINS + bins,
-                        minlength=n_groups * _SKETCH_BINS)
-                    out[f"_vals_{m}"] = list(
-                        flat.reshape(n_groups, _SKETCH_BINS))
-                elif self.p95_mode == "sketch":
-                    # high-cardinality batch: groups are tiny, dense
-                    # 4096-bin rows would dwarf the raw values — emit
-                    # per-value BIN INDICES behind a -1 sentinel (an
-                    # encoding Arrow type-coercion can't confuse with a
-                    # dense histogram, whose counts are never negative)
-                    order = np.argsort(gv, kind="stable")
-                    counts = np.bincount(gv, minlength=n_groups)
-                    bins = _sketch_bin(vv)[order]
-                    out[f"_vals_{m}"] = [
-                        np.concatenate(([-1], part)).astype(np.int64)
-                        for part in np.split(bins, np.cumsum(counts)[:-1])]
-                else:
-                    order = np.argsort(gv, kind="stable")
-                    counts = np.bincount(gv, minlength=n_groups)
-                    out[f"_vals_{m}"] = np.split(vv[order],
-                                                 np.cumsum(counts)[:-1])
-        for c, out_name in self.bool_count_cols.items():
-            w = df[c].to_numpy(dtype=np.float64, na_value=0.0)
-            out[f"_bsum_{c}"] = np.bincount(
-                ng, weights=w, minlength=n_groups).astype(np.int64)
-        for c, null_label in self.countmap_cols.items():
-            col = df[c]
-            if null_label is not None:
-                col = col.fillna(null_label)
-            sz = (pd.DataFrame({"_g": ng, "_v": col.astype("string")})
-                  .dropna(subset=["_v"]).groupby(["_g", "_v"]).size())
-            maps: list[dict] = [{} for _ in range(n_groups)]
-            for (gi, val), cnt in sz.items():
-                maps[gi][str(val)] = int(cnt)
-            out[f"_map_{c}"] = [json.dumps(m_, sort_keys=True) for m_ in maps]
-        for kind, cols in (("first", self.first_cols),
-                           ("last", self.last_cols)):
-            for c in cols:
-                sub = df.loc[df[c].notna(), [c, self.order_col]]
-                sub = sub.assign(_g=ng[df[c].notna().to_numpy()])
-                pick = sub.drop_duplicates(
-                    "_g", keep="first" if kind == "first" else "last")
-                vals = np.full(n_groups, None, dtype=object)
-                ords = np.full(n_groups, None, dtype=object)
-                gi = pick["_g"].to_numpy()
-                vals[gi] = pick[c].to_numpy(dtype=object)
-                ords[gi] = pick[self.order_col].to_numpy(dtype=object)
-                out[f"_{kind}_val_{c}"] = vals
-                out[f"_{kind}_ord_{c}"] = ords
-        if self.sample_by:
-            sb = self.sample_by
-            mask = df[sb].notna().to_numpy()
-            sub = df.loc[mask, [sb, self.order_col]].assign(_g=ng[mask])
-            # max (value, doc_id): ascending sort, keep last per group
-            sub = sub.sort_values([sb, self.order_col], kind="mergesort")
-            pick = sub.drop_duplicates("_g", keep="last")
-            ords = np.full(n_groups, None, dtype=object)
-            vals = np.full(n_groups, np.nan, dtype=np.float64)
-            gi = pick["_g"].to_numpy()
-            ords[gi] = pick[self.order_col].to_numpy(dtype=object)
-            vals[gi] = pick[sb].to_numpy(dtype=np.float64)
-            out["_smp_ord"] = ords
-            out["_smp_val"] = vals
-        return self._cast_partial(out.reset_index())
-
-    def _cast_partial(self, out: pd.DataFrame) -> pd.DataFrame:
+    def partial_table(self, batch: pa.Table) -> pa.Table:
+        """Reduce one Arrow batch to one partial row per group: every
+        row is written as a one-row partial (value lists of length
+        0/1, order carriers null where the value is) and the rows are
+        merged by ``combine_table``."""
+        t = batch.select(self.needed_columns())
+        if self.first_cols or self.last_cols or self.sample_by:
+            order = pc.cast(t[self.order_col], pa.string())
+            perm = pc.sort_indices(order)  # stable: ties keep row order
+            t, order = t.take(perm), order.take(perm)
+        cols = {}
         for k in self.keys:
-            out[k] = out[k].astype(self._dtype(k))
-        out["count"] = out["count"].astype("int64")
+            c = t[k]
+            if k in self.key_fillna:
+                c = pc.fill_null(c, self.key_fillna[k])
+            cols[k] = pc.cast(c, self._atype(k))
+        cols["count"] = pa.array(np.ones(t.num_rows, np.int64))
         for m, stats in self.metrics.items():
-            out[f"_cnt_{m}"] = out[f"_cnt_{m}"].astype("int64")
-            for s in ("sum", "min", "max"):
-                c = f"_{s}_{m}"
-                if c in out:
-                    out[c] = out[c].astype("float64")
+            v = _metric(t[m])
+            ok = pc.is_valid(v)
+            cols[f"_cnt_{m}"] = pc.cast(ok, pa.int64())
+            if {"sum", "avg"} & set(stats):
+                cols[f"_sum_{m}"] = pc.fill_null(v, 0)
+            for s in ("min", "max"):
+                if s in stats:
+                    cols[f"_{s}_{m}"] = pc.cast(v, pa.float64())
+            if _quantile_stats(stats):
+                ok = _np(ok, bool)
+                vals = _np(v, np.float64)[ok]
+                cols[f"_vals_{m}"] = _list_array(
+                    ok, _pairs(pa.array(_sketch_bin(vals)))
+                    if self.p95_mode == "sketch" else pa.array(vals))
         for c in self.bool_count_cols:
-            out[f"_bsum_{c}"] = out[f"_bsum_{c}"].astype("int64")
-        for c in self.countmap_cols:
-            out[f"_map_{c}"] = out[f"_map_{c}"].astype("string")
-        for kind, cols in (("first", self.first_cols), ("last", self.last_cols)):
-            for c in cols:
-                out[f"_{kind}_val_{c}"] = out[f"_{kind}_val_{c}"].astype(self._dtype(c))
-                out[f"_{kind}_ord_{c}"] = out[f"_{kind}_ord_{c}"].astype("string")
+            cols[f"_bsum_{c}"] = pc.fill_null(pc.cast(t[c], pa.int64()), 0)
+        for c, null_label in self.countmap_cols.items():
+            col = pc.cast(t[c], pa.string())
+            if null_label is not None:
+                col = pc.fill_null(col, null_label)
+            ok = _np(pc.is_valid(col), bool)
+            cols[f"_map_{c}"] = _list_array(
+                ok, _pairs(col.filter(ok).combine_chunks()))
+        for kind, cs in (("first", self.first_cols),
+                         ("last", self.last_cols)):
+            for c in cs:
+                cols[f"_{kind}_val_{c}"] = pc.cast(t[c], self._atype(c))
+                cols[f"_{kind}_ord_{c}"] = pc.if_else(
+                    pc.is_valid(t[c]), order, None)
         if self.sample_by:
-            out["_smp_ord"] = out["_smp_ord"].astype("string")
-            out["_smp_val"] = out["_smp_val"].astype("float64")
-        return out
+            v = pc.cast(_metric(t[self.sample_by]), pa.float64())
+            cols["_smp_ord"] = pc.if_else(pc.is_valid(v), order, None)
+            cols["_smp_val"] = v
+        return self.combine_table(pa.table(cols))
 
-    def _empty_partial(self) -> pd.DataFrame:
-        cols = {k: pd.Series(dtype=object) for k in self.keys}
-        cols["count"] = pd.Series(dtype=np.int64)
-        return pd.DataFrame(cols)
+    def _empty_partial(self) -> pa.Table:
+        """Zero-row partial: ``partial_table`` of an empty batch whose
+        metric columns are float64 (the input types are unknown)."""
+        types = dict.fromkeys(self.needed_columns(), pa.string())
+        types.update(dict.fromkeys(self.bool_count_cols, pa.bool_()))
+        types.update(dict.fromkeys(self.metrics, pa.float64()))
+        if self.sample_by:
+            types[self.sample_by] = pa.float64()
+        types.update({c: self._atype(c) for c in
+                      self.keys + self.first_cols + self.last_cols})
+        return self.partial_table(pa.table(
+            {c: pa.array([], types[c]) for c in self.needed_columns()}))
 
     # ------------------------------------------------------------------
-    def combine_partials(self, df: pd.DataFrame) -> pd.DataFrame:
-        """Merge partial rows into FEWER partial rows (one per group) —
-        the format is closed under this merge, which is what makes the
+    def combine_table(self, parts: pa.Table | None) -> pa.Table:
+        """Merge partial rows into one partial row per group — the
+        format is closed under this merge, which is what makes the
         two-level (salted) reduction possible: at 10^12 rows a hot
         group owns one partial per block (~15M rows); a first-level
         combine keyed on hash(key, salt) caps any single task's fan-in
         before the final merge."""
-        df = df.drop(columns=["_bucket"], errors="ignore")
-        if df.empty:
-            return df
-        g = df.groupby(self.keys, dropna=False, sort=False)
-        out = g["count"].sum().rename("count").to_frame()
+        if parts is None:
+            return self._empty_partial()
+        if "_bucket" in parts.column_names:
+            parts = parts.drop_columns(["_bucket"])
+        n = parts.num_rows
+        cols = {k: parts[k] for k in self.keys}
+        cols["_row"] = pa.array(np.arange(n, dtype=np.int64))
+        aggs = [("_row", "list"), ("count", "sum", _SUM0)]
         for m, stats in self.metrics.items():
-            out[f"_cnt_{m}"] = g[f"_cnt_{m}"].sum()
-            for s, fn in (("sum", "sum"), ("min", "min"), ("max", "max")):
-                c = f"_{s}_{m}"
-                if c in df.columns:
-                    out[c] = getattr(g[c], fn)()
-            if f"_vals_{m}" in df.columns:
+            aggs.append((f"_cnt_{m}", "sum", _SUM0))
+            if {"sum", "avg"} & set(stats):
+                aggs.append((f"_sum_{m}", "sum", _SUM0))
+            aggs += [(f"_{s}_{m}", s) for s in ("min", "max") if s in stats]
+        aggs += [(f"_bsum_{c}", "sum", _SUM0) for c in self.bool_count_cols]
+        for a in aggs[1:]:
+            cols[a[0]] = parts[a[0]]
+        g = ordered_group_by(pa.table(cols), self.keys, aggs)
+        rows = g["_row_list"].combine_chunks()
+        n_groups = g.num_rows
+        codes = np.empty(n, dtype=np.int64)
+        codes[pc.list_flatten(rows).to_numpy()] = \
+            pc.list_parent_indices(rows).to_numpy()
+
+        out = {k: g[k] for k in self.keys}
+        out["count"] = g["count_sum"]
+        for m, stats in self.metrics.items():
+            out[f"_cnt_{m}"] = g[f"_cnt_{m}_sum"]
+            if {"sum", "avg"} & set(stats):
+                out[f"_sum_{m}"] = g[f"_sum_{m}_sum"]
+            for s in ("min", "max"):
+                if s in stats:
+                    out[f"_{s}_{m}"] = g[f"_{s}_{m}_{s}"]
+            if _quantile_stats(stats):
+                lists = parts[f"_vals_{m}"].combine_chunks()
+                gc = codes[pc.list_parent_indices(lists).to_numpy()]
+                flat = pc.list_flatten(lists)
                 if self.p95_mode == "sketch":
-                    out[f"_vals_{m}"] = g[f"_vals_{m}"].apply(
-                        lambda s: np.sum([_as_sketch(h)
-                                          for h in s if h is not None],
-                                         axis=0))
+                    out[f"_vals_{m}"] = _pair_lists(
+                        gc, flat.field("v"), flat.field("n"), n_groups)
                 else:
-                    out[f"_vals_{m}"] = g[f"_vals_{m}"].apply(
-                        lambda s: np.concatenate(
-                            [np.asarray(a, dtype=np.float64) for a in s
-                             if a is not None and len(a)] or
-                            [np.empty(0)]))
+                    out[f"_vals_{m}"] = _lists(
+                        flat.to_numpy(zero_copy_only=False), gc, n_groups)
         for c in self.bool_count_cols:
-            out[f"_bsum_{c}"] = g[f"_bsum_{c}"].sum()
+            out[f"_bsum_{c}"] = g[f"_bsum_{c}_sum"]
         for c in self.countmap_cols:
-            out[f"_map_{c}"] = _union_countmaps_grouped(g, f"_map_{c}")
-        for kind, cols in (("first", self.first_cols),
-                           ("last", self.last_cols)):
-            for c in cols:
-                ocol, vcol = f"_{kind}_ord_{c}", f"_{kind}_val_{c}"
-                sub = df[df[ocol].notna()].sort_values(
-                    ocol, ascending=(kind == "first"), kind="mergesort")
-                picked = sub.drop_duplicates(self.keys, keep="first") \
-                    .set_index(self.keys)[[vcol, ocol]]
-                out = out.join(picked)
+            lists = parts[f"_map_{c}"].combine_chunks()
+            flat = pc.list_flatten(lists)
+            out[f"_map_{c}"] = _pair_lists(
+                codes[pc.list_parent_indices(lists).to_numpy()],
+                flat.field("v"), flat.field("n"), n_groups)
+        for kind, cs in (("first", self.first_cols),
+                         ("last", self.last_cols)):
+            for c in cs:
+                ords = parts[f"_{kind}_ord_{c}"]
+                pick = _idx(_pick(
+                    codes, n_groups,
+                    pc.is_valid(ords).to_numpy(zero_copy_only=False),
+                    [ords], descending=(kind == "last")))
+                out[f"_{kind}_val_{c}"] = parts[f"_{kind}_val_{c}"].take(pick)
+                out[f"_{kind}_ord_{c}"] = ords.take(pick)
         if self.sample_by:
-            sub = df[df["_smp_ord"].notna()].sort_values(
-                ["_smp_val", "_smp_ord"], ascending=False, kind="mergesort")
-            picked = sub.drop_duplicates(self.keys, keep="first") \
-                .set_index(self.keys)[["_smp_ord", "_smp_val"]]
-            out = out.join(picked)
-        return self._cast_partial(out.reset_index())
+            ords = parts["_smp_ord"]
+            pick = _idx(_pick(
+                codes, n_groups,
+                pc.is_valid(ords).to_numpy(zero_copy_only=False),
+                [parts["_smp_val"], ords], descending=True))
+            out["_smp_ord"] = ords.take(pick)
+            out["_smp_val"] = parts["_smp_val"].take(pick)
+        return pa.table(out)
 
     # ------------------------------------------------------------------
-    def merge_bucket(self, df: pd.DataFrame) -> pd.DataFrame:
-        """Merge ALL groups of one hash bucket with vectorized pandas —
-        one groupby over the bucket's partial rows, per-group Python
-        only where semantics require it (p95 array concat, count-map
-        union)."""
-        df = df.drop(columns=["_bucket"], errors="ignore")
-        if df.empty:
-            return df
-        g = df.groupby(self.keys, dropna=False, sort=False)
-        out = g["count"].sum().rename("count").to_frame()
+    def readout(self, comb: pa.Table) -> pd.DataFrame:
+        """Combined partial (one row per group) → final pandas table:
+        keys, ``count``, per metric ``count_/sum_/min_/max_/avg_/pNN_``,
+        the bool counts, ``map_*`` JSON count-maps, ``first_*`` /
+        ``last_*`` and ``sample_doc_id``, in that column order."""
+        out = {k: _pd(comb[k], self._dtype(k)) for k in self.keys}
+        out["count"] = _np(comb["count"], np.int64)
+        n_groups = comb.num_rows
         for m, stats in self.metrics.items():
-            cnt = g[f"_cnt_{m}"].sum()
+            cnt = _np(comb[f"_cnt_{m}"], np.int64)
             pos = cnt > 0
             if "count" in stats:
                 out[f"count_{m}"] = cnt
-            if "sum" in stats or "avg" in stats:
-                s = g[f"_sum_{m}"].sum()
+            if {"sum", "avg"} & set(stats):
+                s = _np(comb[f"_sum_{m}"], np.float64)
             if "sum" in stats:
-                out[f"sum_{m}"] = s.where(pos)
-            if "min" in stats:
-                out[f"min_{m}"] = g[f"_min_{m}"].min().where(pos)
-            if "max" in stats:
-                out[f"max_{m}"] = g[f"_max_{m}"].max().where(pos)
+                out[f"sum_{m}"] = np.where(pos, s, np.nan)
+            for st in ("min", "max"):
+                if st in stats:
+                    out[f"{st}_{m}"] = np.where(
+                        pos, _np(comb[f"_{st}_{m}"], np.float64), np.nan)
             if "avg" in stats:
-                out[f"avg_{m}"] = (s / cnt).where(pos)
-            for sname, q in _quantile_stats(stats):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    out[f"avg_{m}"] = np.where(pos, s / cnt, np.nan)
+            qs = _quantile_stats(stats)
+            if qs:
+                lists = comb[f"_vals_{m}"].combine_chunks()
+                gc = pc.list_parent_indices(lists).to_numpy()
+                flat = pc.list_flatten(lists)
+            for sname, q in qs:
                 if self.p95_mode == "sketch":
-                    out[f"{sname}_{m}"] = g[f"_vals_{m}"].apply(
-                        _quantile_of_sketches, q=q)
+                    out[f"{sname}_{m}"] = _quantile_of_pairs(
+                        _np(flat.field("v"), np.int64),
+                        _np(flat.field("n"), np.int64), gc, n_groups, q)
                 else:
-                    out[f"{sname}_{m}"] = _quantile_of_arrays_grouped(
-                        g, f"_vals_{m}", q, self.quantile_method)
-        for c, out_name in self.bool_count_cols.items():
-            out[out_name] = g[f"_bsum_{c}"].sum()
+                    out[f"{sname}_{m}"] = _quantile_grouped(
+                        flat.to_numpy(zero_copy_only=False), gc, n_groups,
+                        q, self.quantile_method)
+        for c, name in self.bool_count_cols.items():
+            out[name] = _np(comb[f"_bsum_{c}"], np.int64)
         for c in self.countmap_cols:
-            out[f"map_{c}"] = _union_countmaps_grouped(
-                g, f"_map_{c}").rename(f"map_{c}")
-        for kind, cols in (("first", self.first_cols),
-                           ("last", self.last_cols)):
-            for c in cols:
-                ocol, vcol = f"_{kind}_ord_{c}", f"_{kind}_val_{c}"
-                sub = df[df[ocol].notna()].sort_values(
-                    ocol, ascending=(kind == "first"), kind="mergesort")
-                picked = sub.drop_duplicates(self.keys, keep="first") \
-                    .set_index(self.keys)[vcol].rename(f"{kind}_{c}")
-                out = out.join(picked)
+            out[f"map_{c}"] = _pd(_countmap_json(comb[f"_map_{c}"]),
+                                  "string")
+        for kind, cs in (("first", self.first_cols),
+                         ("last", self.last_cols)):
+            for c in cs:
+                out[f"{kind}_{c}"] = _pd(comb[f"_{kind}_val_{c}"],
+                                         self._dtype(c))
         if self.sample_by:
-            sub = df[df["_smp_ord"].notna()].sort_values(
-                ["_smp_val", "_smp_ord"], ascending=False, kind="mergesort")
-            picked = sub.drop_duplicates(self.keys, keep="first") \
-                .set_index(self.keys)["_smp_ord"].rename("sample_doc_id")
-            out = out.join(picked)
-        return self._cast_final(out.reset_index())
+            out["sample_doc_id"] = _pd(comb["_smp_ord"], "string")
+        return pd.DataFrame(out)
 
-    def _cast_final(self, out: pd.DataFrame) -> pd.DataFrame:
-        for k in self.keys:
-            out[k] = out[k].astype(self._dtype(k))
-        out["count"] = out["count"].astype("int64")
-        for m, stats in self.metrics.items():
-            for s in stats:
-                col = f"{s}_{m}" if s != "count" else f"count_{m}"
-                if col in out:
-                    out[col] = out[col].astype(
-                        "int64" if s == "count" else "float64")
-        for _, name in self.bool_count_cols.items():
-            out[name] = out[name].astype("int64")
-        for c in self.countmap_cols:
-            out[f"map_{c}"] = out[f"map_{c}"].astype("string")
-        for kind, cols in (("first", self.first_cols), ("last", self.last_cols)):
-            for c in cols:
-                out[f"{kind}_{c}"] = out[f"{kind}_{c}"].astype(self._dtype(c))
-        if self.sample_by:
-            out["sample_doc_id"] = out["sample_doc_id"].astype("string")
-        return out
+    # --- pandas-facing surface ------------------------------------------
+    def partial(self, batch: pa.Table) -> pd.DataFrame:
+        """``partial_table`` as a ``pd.ArrowDtype`` view (concatenable
+        with ``pd.concat``; ``merge_bucket`` / ``combine_partials``
+        accept the concatenation)."""
+        return _view(self.partial_table(batch))
+
+    def combine_partials(self, parts) -> pd.DataFrame:
+        return _view(self.combine_table(self._as_table(parts)))
+
+    def merge_bucket(self, parts) -> pd.DataFrame:
+        """Merge ALL groups of one hash bucket — partial rows as an
+        Arrow table or a ``partial``-view frame; ``None`` → the typed
+        zero-row final table."""
+        return self.readout(self.combine_table(self._as_table(parts)))
+
+    def _as_table(self, parts) -> pa.Table | None:
+        if isinstance(parts, pd.DataFrame):
+            return pa.Table.from_pandas(parts, preserve_index=False)
+        return parts
 
 
-def _quantile_of_arrays_grouped(gb, col: str, q: float = 0.95,
-                                method: str = "linear") -> pd.Series:
-    """Exact per-group quantile over variable-length value arrays in ONE
-    lexsort pass — replaces the old per-group ``np.quantile`` apply
-    (one call per group dominated the driver-merge profile after the
-    count-map union was flattened).  Matches
-    ``np.quantile(..., q)`` 'linear' interpolation exactly:
-    virtual index h = (n-1)·q, v[⌊h⌋] + frac·(v[⌊h⌋+1] − v[⌊h⌋])."""
-    group_index = gb.size().index  # appearance order == ngroup codes
-    n_groups = len(group_index)
-    row_codes = gb.ngroup().to_numpy()
-    vals = gb.obj[col].to_numpy()
-    arrs, code_runs = [], []
-    for c, a in zip(row_codes, vals):
-        if a is not None and len(a):
-            arrs.append(np.asarray(a, dtype=np.float64))
-            code_runs.append(np.full(len(arrs[-1]), c, dtype=np.int64))
+# --- Arrow/numpy helpers -----------------------------------------------
+def ordered_group_by(t: pa.Table, keys: list[str], aggs: list) -> pa.Table:
+    """``t.group_by(keys).aggregate(aggs)`` with the groups in first
+    appearance order (pandas ``groupby(sort=False)``).  Single-threaded
+    aggregation keeps row order INSIDE each group (first/last/list),
+    but Arrow's hash grouper numbers the new keys of a mini-batch in
+    hash-table order, so the group order itself is restored here from
+    each group's first row."""
+    t = t.append_column("_first", pa.array(np.arange(t.num_rows,
+                                                     dtype=np.int64)))
+    g = t.group_by(keys, use_threads=False).aggregate(
+        list(aggs) + [("_first", "min")])
+    return g.take(pc.sort_indices(g["_first_min"])) \
+        .drop_columns(["_first_min"])
+
+
+def _metric(col) -> pa.ChunkedArray:
+    """Metric column as int64 (integer input: sums stay exact) or
+    float64 with NaN as null (pandas' missing-value semantics)."""
+    if pa.types.is_integer(col.type):
+        return pc.cast(col, pa.int64())
+    col = pc.cast(col, pa.float64())
+    return pc.if_else(pc.is_nan(col), None, col)
+
+
+def _np(col, dtype) -> np.ndarray:
+    """Column → numpy; nulls become NaN (float dtypes)."""
+    return np.asarray(col.to_numpy(zero_copy_only=False)
+                      if isinstance(col, pa.Array) else col.to_numpy(),
+                      dtype=dtype)
+
+
+def _idx(pick: np.ndarray) -> pa.Array:
+    """Row index per group (-1 = none) → ``take`` indices with nulls."""
+    return pa.array(pick, mask=pick < 0)
+
+
+def _list_array(sizes: np.ndarray, values: pa.Array) -> pa.ListArray:
+    """Consecutive runs of ``values`` of the given ``sizes`` → lists."""
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int32)
+    np.cumsum(sizes, out=offsets[1:])
+    return pa.ListArray.from_arrays(pa.array(offsets), values)
+
+
+def _lists(values: np.ndarray, gcodes: np.ndarray,
+           n_groups: int) -> pa.Array:
+    """Values with their group codes → one list<double> per group."""
+    order = np.argsort(gcodes, kind="stable")
+    return _list_array(np.bincount(gcodes, minlength=n_groups),
+                       pa.array(values[order], pa.float64()))
+
+
+def _pairs(values: pa.Array, counts=None) -> pa.StructArray:
+    if counts is None:
+        counts = pa.array(np.ones(len(values), np.int64))
+    return pa.StructArray.from_arrays([values, counts], names=["v", "n"])
+
+
+def _pair_lists(gcodes: np.ndarray, values, counts,
+                n_groups: int) -> pa.Array:
+    """``(group, value, count)`` rows → per group a list of
+    ``{v, n}`` structs, counts summed per (group, value) and sorted by
+    value — the one shape of count-maps and sketch bins."""
+    t = (pa.table({"g": pa.array(gcodes, pa.int64()), "v": values,
+                   "n": counts})
+         .group_by(["g", "v"], use_threads=False)
+         .aggregate([("n", "sum")])
+         .sort_by([("g", "ascending"), ("v", "ascending")]))
+    return _list_array(
+        np.bincount(t["g"].to_numpy(), minlength=n_groups),
+        _pairs(t["v"].combine_chunks(), t["n_sum"].combine_chunks()))
+
+
+def _pick(codes: np.ndarray, n_groups: int, valid: np.ndarray,
+          sort_cols: list, descending: bool) -> np.ndarray:
+    """Row index per group of the first valid row in (``sort_cols``)
+    order, ties broken by row order; -1 for groups with no valid
+    row."""
+    rows = np.flatnonzero(valid)
+    key = {"_g": pa.array(codes[rows])}
+    key.update({f"_s{i}": c.take(pa.array(rows))
+                for i, c in enumerate(sort_cols)})
+    d = "descending" if descending else "ascending"
+    order = pc.sort_indices(
+        pa.table(key), [("_g", "ascending")]
+        + [(f"_s{i}", d) for i in range(len(sort_cols))]).to_numpy()
+    g = codes[rows][order]
+    first = np.flatnonzero(np.diff(g, prepend=-1))
+    pick = np.full(n_groups, -1, dtype=np.int64)
+    pick[g[first]] = rows[order[first]]
+    return pick
+
+
+def _view(t: pa.Table) -> pd.DataFrame:
+    return t.to_pandas(types_mapper=pd.ArrowDtype)
+
+
+def _pd(col, dtype: str):
+    """Arrow column → pandas array of the pinned final dtype."""
+    dt = pd.api.types.pandas_dtype(dtype)
+    return dt.__from_arrow__(pc.cast(col, _ARROW_TYPES[dtype]))
+
+
+def _countmap_json(col) -> pa.Array:
+    """``{v, n}`` pair lists (sorted by v) → canonical JSON strings,
+    identical to ``json.dumps(dict, sort_keys=True)``.  Keys are
+    escaped once per distinct value, not once per group."""
+    lists = col.combine_chunks()
+    flat = pc.list_flatten(lists)
+    keys = flat.field("v")
+    uniq = pc.unique(keys)
+    quoted = pa.array([json.dumps(s) for s in uniq.to_pylist()],
+                      pa.string())
+    items = pc.binary_join_element_wise(
+        quoted.take(pc.index_in(keys, uniq)),
+        pc.cast(flat.field("n"), pa.string()), ": ")
+    body = pc.binary_join(_list_array(
+        _np(pc.list_value_length(lists), np.int64), items), ", ")
+    return pc.binary_join_element_wise("{", body, "}", "")
+
+
+def _quantile_grouped(v: np.ndarray, gcodes: np.ndarray, n_groups: int,
+                      q: float = 0.95, method: str = "linear") -> np.ndarray:
+    """Exact per-group quantile over flattened values and their group
+    codes in ONE lexsort pass.  Matches ``np.quantile(..., q)``
+    'linear' interpolation exactly: virtual index h = (n-1)·q,
+    v[⌊h⌋] + frac·(v[⌊h⌋+1] − v[⌊h⌋])."""
     out = np.full(n_groups, np.nan)
-    if arrs:
-        v = np.concatenate(arrs)
-        gcodes = np.concatenate(code_runs)
+    if len(v):
+        v = np.asarray(v, dtype=np.float64)
         order = np.lexsort((v, gcodes))
         v, gcodes = v[order], gcodes[order]
         starts = np.flatnonzero(np.r_[True, gcodes[1:] != gcodes[:-1]])
@@ -448,12 +529,13 @@ def _quantile_of_arrays_grouped(gb, col: str, q: float = 0.95,
             out[gcodes[starts]] = np.where(frac >= 0.5,
                                            v[hi] - diff * (1 - frac),
                                            v[lo] + diff * frac)
-    return pd.Series(out, index=group_index)
+    return out
 
 
 # --- bounded-state p95 sketch (scale path) ---------------------------------
 # log-spaced bins covering [0, ~1e12) with ~0.7% bin width: bounded
-# per-group partial state (_SKETCH_BINS ints) regardless of group size
+# per-group partial state (at most _SKETCH_BINS pairs) regardless of
+# group size
 _SKETCH_BINS = 4096
 _SKETCH_SCALE = _SKETCH_BINS / np.log1p(1e12)
 
@@ -467,151 +549,97 @@ def _sketch_value(b: np.ndarray | float):
     return np.expm1((np.asarray(b, dtype=np.float64) + 0.5) / _SKETCH_SCALE)
 
 
-def _as_sketch(h) -> np.ndarray:
-    """Partial element → dense histogram. A leading -1 sentinel marks
-    the sparse form (bin indices, one per value — the high-cardinality
-    fallback); anything else is already a dense histogram."""
-    a = np.asarray(h)
-    if len(a) and a[0] < 0:
-        return np.bincount(a[1:].astype(np.int64),
-                           minlength=_SKETCH_BINS)
-    return a.astype(np.int64)
+def _quantile_of_pairs(bins: np.ndarray, counts: np.ndarray,
+                       gcodes: np.ndarray, n_groups: int,
+                       q: float = 0.95) -> np.ndarray:
+    """Per-group quantile from (bin, count) pairs sorted by bin within
+    each group, with numpy-'linear' RANK interpolation: the order
+    statistics at floor/ceil of h = (n-1)·q are located by bin and
+    interpolated by the fractional rank (bounds the error by ~bin
+    width instead of the between-order-statistics gap)."""
+    out = np.full(n_groups, np.nan)
+    if not len(bins):
+        return out
+    cum = np.cumsum(counts)
+    total = np.bincount(gcodes, weights=counts, minlength=n_groups) \
+        .astype(np.int64)
+    base = np.r_[0, np.cumsum(total)[:-1]]   # pairs are in group order
+    has = total > 0
+    pos = (total[has] - 1) * q
+    lo_rank = np.floor(pos).astype(np.int64) + 1  # 1-based
+    hi_rank = np.minimum(lo_rank + 1, total[has])
+    b_lo = bins[np.searchsorted(cum, base[has] + lo_rank)]
+    b_hi = bins[np.searchsorted(cum, base[has] + hi_rank)]
+    v_lo, v_hi = _sketch_value(b_lo), _sketch_value(b_hi)
+    out[has] = v_lo + (pos - np.floor(pos)) * (v_hi - v_lo)
+    return out
 
 
-def _quantile_of_sketches(s: pd.Series, q: float = 0.95):
-    """Quantile from the merged histogram with numpy-'linear' RANK
-    interpolation: the order statistics at floor/ceil of
-    h = (n-1)·q are located by bin and interpolated by the
-    fractional rank.  Returning the ceil-rank bin alone left a
-    between-order-statistics gap (~10% on heavy-tailed small groups);
-    interpolating bounds the error by ~bin width instead."""
-    hists = [_as_sketch(x) for x in s if x is not None]
-    if not hists:
-        return np.nan
-    h = np.sum(hists, axis=0)
-    total = int(h.sum())
-    if total == 0:
-        return np.nan
-    cum = np.cumsum(h)
-    pos = (total - 1) * q
-    lo_rank = int(np.floor(pos)) + 1      # 1-based rank of lower stat
-    hi_rank = min(lo_rank + 1, total)
-    b_lo = int(np.searchsorted(cum, lo_rank))
-    b_hi = int(np.searchsorted(cum, hi_rank))
-    v_lo = float(_sketch_value(b_lo))
-    v_hi = float(_sketch_value(b_hi))
-    return v_lo + (pos - np.floor(pos)) * (v_hi - v_lo)
+def _add_bucket(t: pa.Table, *, keys: list[str], buckets: int,
+                salt_mod: int = 1) -> pa.Table:
+    from ..util import key_hash_buckets
 
-
-def _union_countmaps(s: pd.Series) -> str:
-    acc: dict[str, int] = {}
-    for j in s.dropna():
-        for k, v in json.loads(j).items():
-            acc[k] = acc.get(k, 0) + v
-    return json.dumps(acc, sort_keys=True)
-
-
-def _union_countmaps_grouped(gb, col: str) -> pd.Series:
-    """Per-group count-map union for a whole bucket in ONE flat pass
-    over group codes — replaces ``g[col].apply(_union_countmaps)``,
-    whose per-group pandas machinery (a fresh ``Series.dropna`` per
-    group) dominated the driver-merge profile at ~10k groups.  Every
-    stored map is already canonical JSON (``sort_keys=True`` at
-    partial build and here), so a group with a single non-null
-    partial — the common case — passes its string through with no
-    parse/dump at all."""
-    group_index = gb.size().index  # appearance order == ngroup codes
-    codes = gb.ngroup().to_numpy()
-    vals = gb.obj[col].to_numpy()
-    notna = pd.notna(vals)
-    accs: list = [None] * len(group_index)  # str (single) | dict
-    for c, j in zip(codes[notna], vals[notna]):
-        a = accs[c]
-        if a is None:
-            accs[c] = j  # defer the parse; already canonical
-            continue
-        if isinstance(a, str):
-            accs[c] = a = json.loads(a)
-        for k, v in json.loads(j).items():
-            a[k] = a.get(k, 0) + v
-    out = [a if isinstance(a, str)
-           else "{}" if a is None
-           else json.dumps(a, sort_keys=True)
-           for a in accs]
-    return pd.Series(out, index=group_index, name=col)
+    b = key_hash_buckets(t, keys, buckets)
+    if salt_mod > 1:
+        # deterministic per-partial salt: spreads one group's partial
+        # rows over `salt_mod` fine buckets
+        s = pd.util.hash_array(np.arange(t.num_rows, dtype=np.int64))
+        b = b * salt_mod + (s % salt_mod).astype(np.int64)
+    return t.append_column("_bucket", pa.array(b, pa.int64()))
 
 
 def run_fold(ds, spec: FoldSpec, *, batch_size: int = 131072,
              num_buckets: int = 64, salt: int = 1,
              merge: str = "distributed"):
-    """Apply the two-phase fold to a Ray Dataset → Dataset of final rows.
+    """Apply the two-phase fold to a Ray Dataset → Dataset of final
+    pandas rows (``FoldSpec.readout`` columns and dtypes; a typed zero-
+    row table when ``ds`` has no rows).
 
-    The merge shuffle is keyed on ``hash(keys) % num_buckets`` rather
-    than the raw keys: each bucket task receives whole groups and merges
-    ALL of them with one vectorized pandas groupby (``merge_bucket``) —
-    per-group Python frame construction would serialize the merge and
-    flatten the 8→32 CPU scaling curve.
+    Every stage runs with ``batch_format="pyarrow"``: per-batch
+    ``partial_table``, then a shuffle keyed on ``hash(keys) %
+    num_buckets`` (``util.key_hash_buckets``, deterministic across
+    processes) whose bucket tasks each receive whole groups and merge
+    them with ``merge_bucket``.
 
     ``merge="driver"`` collects the partial rows (small: one row per
     group × block) and merges them in-process, skipping the
     groupby-sort shuffle whose ~2-3 s fixed latency dominates small
     jobs; use the default distributed merge when partials are large
-    (exact-p95 partials carry value arrays that grow with the data).
+    (exact-p95 partials carry value lists that grow with the data).
 
     ``salt > 1`` inserts a salted first-level combine: partials are
     hashed on (key, salt) into ``num_buckets × salt`` fine buckets and
-    reduced with ``combine_partials`` (partial→partial, one row per
-    group per fine bucket) before the final merge. A hot key that owns
-    half the corpus then costs any single task at most
-    ``#blocks / salt`` partial rows at level 1 and ``salt`` rows at the
-    final merge — the north rule's salted-key skew mitigation. Use with
+    reduced with ``combine_table`` (partial→partial, one row per group
+    per fine bucket) before the final merge. A hot key that owns half
+    the corpus then costs any single task at most ``#blocks / salt``
+    partial rows at level 1 and ``salt`` rows at the final merge — the
+    north rule's salted-key skew mitigation. Use with
     ``p95_mode='sketch'`` at scale so the combined state stays bounded
-    (exact mode still concatenates value arrays)."""
-    partials = ds.map_batches(spec.partial, batch_format="pyarrow",
-                              batch_size=batch_size, zero_copy_batch=True)
+    (exact mode still concatenates value lists)."""
+    import functools
 
+    import ray.data as rd
+
+    partials = ds.map_batches(spec.partial_table, batch_format="pyarrow",
+                              batch_size=batch_size, zero_copy_batch=True)
     if merge == "driver":
-        import ray.data as rd
-        merged = spec.merge_bucket(partials.to_pandas())
-        return rd.from_pandas(merged)
+        blocks = [b for b in partials.iter_batches(
+            batch_size=None, batch_format="pyarrow") if b.num_rows]
+        return rd.from_pandas(spec.merge_bucket(
+            pa.concat_tables(blocks, promote_options="permissive")
+            if blocks else None))
 
     keys = list(spec.keys)
-
-    def add_bucket(df: pd.DataFrame, *, buckets: int,
-                   salt_mod: int = 1):
-        from ..util import arrow_out
-
-        if df.empty:
-            df["_bucket"] = pd.Series(dtype="int64")
-            return arrow_out(df)
-        h = pd.util.hash_pandas_object(
-            df[keys].astype("string").agg("|".join, axis=1), index=False)
-        b = (h % buckets).astype("int64")
-        if salt_mod > 1:
-            # deterministic per-partial salt: spreads one group's
-            # partial rows over `salt_mod` fine buckets
-            s = pd.util.hash_pandas_object(df.index.to_series(),
-                                           index=False) % salt_mod
-            b = b * salt_mod + s.to_numpy().astype("int64")
-        df["_bucket"] = b
-        # partials enter the merge shuffle as Arrow when convertible
-        # (several× faster sort); dict-celled count-map partials stay
-        # pandas (arrow_out's guard) so batch-local struct inference
-        # can't split the shuffle schema
-        return arrow_out(df)
-
     if salt > 1:
-        import functools
-        fine = partials.map_batches(
-            functools.partial(add_bucket, buckets=num_buckets,
-                              salt_mod=salt),
-            batch_format="pandas")
-        partials = fine.groupby("_bucket").map_groups(
-            spec.combine_partials, batch_format="pandas")
-
-    import functools
-    return (partials.map_batches(
-                functools.partial(add_bucket, buckets=num_buckets),
-                batch_format="pandas")
+        partials = (partials.map_batches(
+            functools.partial(_add_bucket, keys=keys, buckets=num_buckets,
+                              salt_mod=salt), batch_format="pyarrow")
             .groupby("_bucket")
-            .map_groups(spec.merge_bucket, batch_format="pandas"))
+            .map_groups(spec.combine_table, batch_format="pyarrow"))
+    return (partials.map_batches(
+                functools.partial(_add_bucket, keys=keys,
+                                  buckets=num_buckets),
+                batch_format="pyarrow")
+            .groupby("_bucket")
+            .map_groups(spec.merge_bucket, batch_format="pyarrow")
+            .union(rd.from_pandas(spec.merge_bucket(None))))

@@ -1,20 +1,22 @@
 """Single-pass multi-sink fold.
 
-``run_full_analysis`` needs ~13 result tables from one classified
-stream.  Materializing the stream and running 13 fold pipelines pins
+``run_full_analysis`` needs ~14 result tables from one classified
+stream.  Materializing the stream and running 14 fold pipelines pins
 the whole corpus in the object store and re-scans it per sink; this
 module instead runs ONE ``map_batches`` pass that emits every sink's
-per-batch partials as tagged pickled payload rows, then merges them —
-driver-side for report-scale inputs (no shuffle at all: partial volume
-is groups × blocks, not rows), or through a single
+per-batch partial as a tagged ``(sink, bucket, payload)`` row whose
+payload is the partial Arrow table in Arrow IPC stream format, then
+merges them — driver-side for report-scale inputs (no shuffle at all:
+partial volume is groups × blocks, not rows), or through a single
 ``groupby((sink, bucket))`` shuffle for large inputs (ADVICE r1: the
 unconditional driver merge was a driver-memory regression when exact
-p95 partials carry raw value arrays).
+p95 partials carry raw value lists).
 
-Sink contract (``SinkJob``):
-  prep(batch: pa.Table) -> pd.DataFrame         per-batch partial
-  bucket_merge(df) -> pd.DataFrame              reduce rows of a bucket
-  finalize(df) -> pd.DataFrame                  driver-side final step
+Sink contract (``SinkJob``), Arrow until the final step:
+  prep(batch: pa.Table) -> pa.Table | None      per-batch partial
+  bucket_merge(t: pa.Table) -> pa.Table         reduce rows of a bucket
+  finalize(t: pa.Table | None) -> pd.DataFrame  driver-side final step
+                                                (None: no partials)
   bucket_keys: columns whose hash co-locates whole groups (None →
   everything in one bucket — use only for bounded-size partials)
 
@@ -26,7 +28,6 @@ equal ``finalize(concat_over_buckets(bucket_merge(bucket_partials)))``
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,39 +35,48 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+# Version tag of the payload bytes; persisted partials
+# (``analyze.run_full_analysis_resumable``) written under another tag
+# are recomputed, never decoded.
+PAYLOAD_FORMAT = "arrow-ipc-1"
+
 
 @dataclass
 class SinkJob:
-    prep: Callable[[pa.Table], pd.DataFrame]
-    bucket_merge: Callable[[pd.DataFrame], pd.DataFrame]
-    finalize: Callable[[pd.DataFrame], pd.DataFrame] = lambda df: df
+    prep: Callable[[pa.Table], pa.Table | None]
+    bucket_merge: Callable[[pa.Table], pa.Table]
+    finalize: Callable[[pa.Table | None], pd.DataFrame]
     bucket_keys: list[str] | None = None
 
 
-def _ident(df: pd.DataFrame) -> pd.DataFrame:
-    return df
+def to_ipc(t: pa.Table) -> bytes:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue().to_pybytes()
 
 
-def _empty_payload() -> pd.DataFrame:
-    return pd.DataFrame({"sink": pd.Series(dtype="string"),
-                         "bucket": pd.Series(dtype="int64"),
-                         "payload": pd.Series(dtype=object)})
+def _concat(blobs) -> pa.Table | None:
+    tables = [pa.ipc.open_stream(b).read_all() for b in blobs]
+    return (pa.concat_tables(tables, promote_options="permissive")
+            if tables else None)
 
 
-def _key_buckets(df: pd.DataFrame, keys: list[str],
-                 num_buckets: int) -> np.ndarray:
-    from ..util import key_hash_buckets
-    return key_hash_buckets(df, keys, num_buckets)
+def _payload_frame(sinks, buckets, payloads) -> pd.DataFrame:
+    return pd.DataFrame({"sink": pd.array(sinks, dtype="string"),
+                         "bucket": np.asarray(buckets, dtype=np.int64),
+                         "payload": pd.array(payloads, dtype=object)})
 
 
 def make_emit(jobs: dict[str, SinkJob], mode: str = "driver",
               num_buckets: int = 16):
     """The per-batch partial-emit UDF shared by ``run_multi_fold`` and
     the checkpointed ``analyze.run_full_analysis_resumable`` path:
-    every sink's prep runs over the batch and the partial frames leave
-    as tagged pickled payload rows.  ``mode="distributed"`` splits each
-    partial by its sink's key-hash bucket so a later
+    every sink's prep runs over the batch and each partial table
+    leaves as one tagged IPC payload row.  ``mode="distributed"``
+    splits each partial by its sink's key-hash bucket so a later
     ``groupby((sink, bucket))`` merge co-locates whole groups."""
+    from ..util import key_hash_buckets
 
     def emit(batch: pa.Table) -> pd.DataFrame:
         sinks: list[str] = []
@@ -74,31 +84,21 @@ def make_emit(jobs: dict[str, SinkJob], mode: str = "driver",
         payloads: list[bytes] = []
         for name, job in jobs.items():
             part = job.prep(batch)
-            if part is None or len(part) == 0:
+            if part is None or part.num_rows == 0:
                 continue
             if mode == "distributed" and job.bucket_keys:
-                bk = _key_buckets(part, job.bucket_keys, num_buckets)
+                bk = key_hash_buckets(part, job.bucket_keys, num_buckets)
                 for b in np.unique(bk):
                     sinks.append(name)
                     buckets.append(int(b))
-                    payloads.append(pickle.dumps(part[bk == b]))
+                    payloads.append(to_ipc(part.filter(pa.array(bk == b))))
             else:
                 sinks.append(name)
                 buckets.append(0)
-                payloads.append(pickle.dumps(part))
-        if not sinks:
-            return _empty_payload()
-        return pd.DataFrame({"sink": pd.array(sinks, dtype="string"),
-                             "bucket": np.asarray(buckets, dtype=np.int64),
-                             "payload": pd.array(payloads, dtype=object)})
+                payloads.append(to_ipc(part))
+        return _payload_frame(sinks, buckets, payloads)
 
     return emit
-
-
-def _concat(blobs) -> pd.DataFrame | None:
-    frames = [pickle.loads(b) for b in blobs]
-    return (pd.concat(frames, ignore_index=True)
-            if frames else None)
 
 
 def merge_payload_rows(rows: pd.DataFrame,
@@ -106,9 +106,9 @@ def merge_payload_rows(rows: pd.DataFrame,
     """Driver-side merge of collected payload rows → final tables."""
     out = {}
     for name, job in jobs.items():
-        df = _concat(rows.loc[rows["sink"] == name, "payload"])
-        out[name] = (job.finalize(job.bucket_merge(df))
-                     if df is not None else job.finalize(None))
+        t = _concat(rows.loc[rows["sink"] == name, "payload"])
+        out[name] = job.finalize(job.bucket_merge(t) if t is not None
+                                 else None)
     return out
 
 
@@ -116,23 +116,19 @@ def merge_payload_ds(payload, jobs: dict[str, SinkJob]
                      ) -> dict[str, pd.DataFrame]:
     """Distributed merge of a payload-row Dataset: ONE
     ``groupby((sink, bucket))`` shuffle, bucket_merge remote, finalize
-    on the driver over one merged row per (sink, bucket)."""
+    on the driver over the concatenated merged buckets."""
 
-    def merge_group(g: pd.DataFrame) -> pd.DataFrame:
-        name = g["sink"].iloc[0]
-        merged = jobs[name].bucket_merge(_concat(g["payload"]))
-        return pd.DataFrame({
-            "sink": pd.array([name], dtype="string"),
-            "bucket": np.asarray([g["bucket"].iloc[0]], dtype=np.int64),
-            "payload": pd.array([pickle.dumps(merged)], dtype=object)})
+    def merge_group(g: pa.Table) -> pd.DataFrame:
+        name = g["sink"][0].as_py()
+        merged = jobs[name].bucket_merge(_concat(g["payload"].to_pylist()))
+        return _payload_frame([name], [g["bucket"][0].as_py()],
+                              [to_ipc(merged)])
 
     finals = (payload.groupby(["sink", "bucket"])
-              .map_groups(merge_group, batch_format="pandas").to_pandas())
-    out = {}
-    for name, job in jobs.items():
-        df = _concat(finals.loc[finals["sink"] == name, "payload"])
-        out[name] = job.finalize(df) if df is not None else job.finalize(None)
-    return out
+              .map_groups(merge_group, batch_format="pyarrow").to_pandas())
+    return {name: job.finalize(
+                _concat(finals.loc[finals["sink"] == name, "payload"]))
+            for name, job in jobs.items()}
 
 
 # In distributed mode the partials are bounded (the input-size gate
@@ -159,11 +155,10 @@ def run_multi_fold(cds, jobs: dict[str, SinkJob], *,
     cost against partial volume (groups × batches).  Measured on the
     1.5 M-row bench corpus at 32 CPUs: 131072 coalesces 276 read
     blocks into 12 giant multi-chunk tasks — 10× the emit UDF
-    core-time (chunked Arrow→pandas conversion inside every sink prep)
-    and 3 task waves; per-block batches (~5 k rows) fix the UDF cost
-    but triple the partial rows the merge must reduce.  32768 is the
-    measured knee: full task fan-out, near-minimal UDF time, partial
-    volume within 2× of the floor."""
+    core-time and 3 task waves; per-block batches (~5 k rows) fix the
+    UDF cost but triple the partial rows the merge must reduce.  32768
+    is the measured knee: full task fan-out, near-minimal UDF time,
+    partial volume within 2× of the floor."""
     emit = make_emit(jobs, mode, num_buckets)
     payload = cds.map_batches(emit, batch_format="pyarrow",
                               batch_size=batch_size, zero_copy_batch=True)

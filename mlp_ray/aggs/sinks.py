@@ -5,10 +5,9 @@ the classified event table.
 Each ``make_*`` returns ``(mask_fn, FoldSpec)`` where ``mask_fn`` maps
 a classified Arrow batch to the boolean row mask selecting the sink's
 rows (built on the fan-out routing masks computed by
-``stages.classify``).  ``run_fold`` callers apply it with
-``batch.filter(mask_fn(batch))``; the single-pass report
-(``analyze._analysis_jobs``) indexes its shared per-batch pandas frame
-with the null-filled mask.
+``stages.classify``).  ``run_fold`` callers and the single-pass
+report (``analyze._analysis_jobs``) apply it with
+``batch.filter(mask_fn(batch))``.
 """
 
 from __future__ import annotations

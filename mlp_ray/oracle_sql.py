@@ -137,7 +137,7 @@ GROUP BY ALL
 
 
 # count-map helper: JSON {value: count} string matching
-# json.dumps(acc, sort_keys=True) (fold _union_countmaps)
+# json.dumps(acc, sort_keys=True) (fold _countmap_json)
 def _countmap(expr: str, out: str, keys: str, where: str) -> str:
     return f"""
   SELECT {keys},

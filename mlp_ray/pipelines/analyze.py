@@ -25,6 +25,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..aggs import sinks as sink_defs
+from ..aggs.fold import ordered_group_by
 from ..stages.classify import classify_batch
 from ..stages.enrich import NsEnricher
 from ..stages.redact import Redactor
@@ -243,6 +244,25 @@ def _one_file_bytes(f: str) -> int:
     return sz * 8 if f.endswith((".gz", ".zip")) else sz
 
 
+def _sorted_counts(t: pa.Table, key: str, cnt: str = "count") -> pa.Table:
+    """Sum ``cnt`` per ``key`` (nulls form a group), sorted by key with
+    nulls last — a pandas ``groupby(key, dropna=False)`` sum."""
+    return (t.group_by(key, use_threads=False)
+            .aggregate([(cnt, "sum")])
+            .select([key, f"{cnt}_sum"])
+            .rename_columns([key, cnt])
+            .sort_by(key))
+
+
+def _err_merge(t: pa.Table) -> pa.Table:
+    """Per error-code-name count and first non-null numeric code."""
+    return (t.group_by("err_code_name", use_threads=False)
+            .aggregate([("count", "sum"), ("err_code", "first")])
+            .select(["err_code_name", "count_sum", "err_code_first"])
+            .rename_columns(["err_code_name", "count", "err_code"])
+            .sort_by("err_code_name"))
+
+
 def _add_raw_jobs(jobs: dict, SinkJob, or_empty, _ref_count,
                   p95_mode: str) -> None:
     """Raw-path (reference-exact) replacements for the ttl / errors /
@@ -255,103 +275,82 @@ def _add_raw_jobs(jobs: dict, SinkJob, or_empty, _ref_count,
                                  "nret": ("sum", "avg")},
                         p95_mode=p95_mode)
 
-    def ttl_prep(batch: pa.Table) -> pd.DataFrame:
+    def ttl_prep(batch: pa.Table) -> pa.Table:
         # driver-thread TTL hook rows (LogParser.java:938-970) — they
         # feed the TTL table even when the blacklist ignores the line
         t = batch.filter(pc.is_valid(batch["ttl_ns"]))
-        if t.num_rows == 0:
-            return pd.DataFrame()
-        df = pd.DataFrame({
-            "ns": t["ttl_ns"].to_pandas().astype("string"),
-            "duration_ms": t["duration_ms"].to_pandas(),
-            "nret": t["ttl_n_deleted"].to_pandas(),
-            "doc_id": t["doc_id"].to_pandas().astype("string")})
-        return ttl_spec.partial_df(df)
+        return ttl_spec.partial_table(pa.table({
+            "ns": t["ttl_ns"], "duration_ms": t["duration_ms"],
+            "nret": t["ttl_n_deleted"], "doc_id": t["doc_id"]}))
 
-    jobs["ttl"] = SinkJob(ttl_prep, ttl_spec.merge_bucket,
-                          or_empty(_ref_count), bucket_keys=["ns"])
+    jobs["ttl"] = SinkJob(
+        ttl_prep, ttl_spec.combine_table,
+        or_empty(lambda t: _ref_count(ttl_spec.readout(t))),
+        bucket_keys=["ns"])
 
-    def err_prep(batch: pa.Table) -> pd.DataFrame:
+    def err_prep(batch: pa.Table) -> pa.Table:
         # processErrorCode (LogParserTask.java:1040-1112): up to three
         # accumulations per line — explicit error object, ok:0
         # synthesis, client-disconnect message
-        frames = []
-        obj = batch.filter(pc.is_valid(batch["err_name_obj"]))
-        if obj.num_rows:
-            frames.append(pd.DataFrame({
-                "err_code_name": obj["err_name_obj"].to_pandas(),
-                "err_code": obj["err_code"].to_pandas()}))
-        okp = batch.filter(pc.is_valid(batch["err_name_ok"]))
-        if okp.num_rows:
-            frames.append(pd.DataFrame({
-                "err_code_name": okp["err_name_ok"].to_pandas(),
-                "err_code": okp["err_code2"].to_pandas()}))
+        parts = []
+        for name_col, code_col in (("err_name_obj", "err_code"),
+                                   ("err_name_ok", "err_code2")):
+            t = batch.filter(pc.is_valid(batch[name_col]))
+            parts.append(pa.table({
+                "err_code_name": pc.cast(t[name_col], pa.string()),
+                "err_code": pc.cast(t[code_col], pa.int64())}))
         n_disc = int(pc.sum(pc.fill_null(
             batch["err_disconnect"], False)).as_py() or 0)
-        if n_disc:
-            frames.append(pd.DataFrame({
-                "err_code_name": ["InterruptedByClientDisconnect"] * n_disc,
-                "err_code": pd.array([pd.NA] * n_disc, dtype="Int64")}))
-        if not frames:
-            return pd.DataFrame()
-        ev = pd.concat(frames, ignore_index=True)
-        ev["err_code_name"] = ev["err_code_name"].astype("string")
-        ev["err_code"] = ev["err_code"].astype("Int64")
-        g = ev.groupby("err_code_name", dropna=False)
-        out = g.size().rename("count").to_frame()
-        out["err_code"] = g["err_code"].first()
-        return out.reset_index()
+        parts.append(pa.table({
+            "err_code_name": pa.array(
+                ["InterruptedByClientDisconnect"] * n_disc, pa.string()),
+            "err_code": pa.nulls(n_disc, pa.int64())}))
+        ev = pa.concat_tables(parts)
+        return _err_merge(ev.append_column(
+            "count", pa.array(np.ones(ev.num_rows, np.int64))))
 
-    def err_merge(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("err_code_name", dropna=False)
-        out = g["count"].sum().rename("count").to_frame()
-        out["err_code"] = g["err_code"].first()
-        return out.reset_index()
+    jobs["errors"] = SinkJob(
+        err_prep, _err_merge,
+        or_empty(lambda t: _err_merge(t).to_pandas().astype(
+            {"err_code_name": "string", "err_code": "Int64"})),
+        bucket_keys=["err_code_name"])
 
-    jobs["errors"] = SinkJob(err_prep, err_merge, or_empty(err_merge),
-                             bucket_keys=["err_code_name"])
-
-    def ops_prep(batch: pa.Table) -> pd.DataFrame:
+    def ops_prep(batch: pa.Table) -> pa.Table:
         # incrementOperationStat labels, incl. the INDEX branch's
         # double increment (category + post-filter "index_operation")
-        parts = []
-        for col in ("op_stat", "op_stat2"):
-            t = batch[col].to_pandas().dropna()
-            if len(t):
-                parts.append(t.value_counts())
-        if not parts:
-            return pd.DataFrame()
-        s = pd.concat(parts).groupby(level=0).sum()
-        return (s.rename("count").rename_axis("op").reset_index()
-                .astype({"op": "string", "count": "int64"}))
+        ops = pa.concat_arrays([
+            pc.drop_null(batch[c]).combine_chunks().cast(pa.string())
+            for c in ("op_stat", "op_stat2")])
+        return _sorted_counts(pa.table({
+            "op": ops, "count": pa.array(np.ones(len(ops), np.int64))}),
+            "op")
 
-    def ops_merge(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby("op", dropna=False)["count"].sum()
-                .reset_index())
-
-    jobs["op_stats"] = SinkJob(ops_prep, ops_merge, or_empty(ops_merge),
-                               bucket_keys=["op"])
+    jobs["op_stats"] = SinkJob(
+        ops_prep, lambda t: _sorted_counts(t, "op"),
+        or_empty(lambda t: _sorted_counts(t, "op").to_pandas()
+                 .astype({"op": "string"})),
+        bucket_keys=["op"])
 
 
-def _ts_prep(batch: pa.Table) -> pd.DataFrame:
+def _ts_prep(batch: pa.Table) -> pa.Table | None:
     """A11 global timestamp range (LogParser.java:1183-1192).  Raw-log
     input carries ``parse_status``/``pre_ignored``: updateTimestamps
     runs inside the task (LogParserTask.java:99-111), so ignored and
     malformed lines never reach it."""
+    ts = batch["ts"]
     if "parse_status" in batch.column_names:
-        batch = batch.filter(pc.and_(
+        ts = ts.filter(pc.and_(
             pc.invert(pc.fill_null(batch["pre_ignored"], False)),
             pc.equal(batch["parse_status"], "ok")))
-    mm = pc.min_max(batch["ts"])
+    mm = pc.min_max(ts)
     if not mm["min"].is_valid:
-        return pd.DataFrame()
-    return pd.DataFrame({"min_ts": [mm["min"].as_py()],
-                         "max_ts": [mm["max"].as_py()]})
+        return None
+    return pa.table({"min_ts": [mm["min"]], "max_ts": [mm["max"]]})
 
 
-def _ts_merge(df: pd.DataFrame) -> pd.DataFrame:
-    return pd.DataFrame({"min_ts": [df["min_ts"].min()],
-                         "max_ts": [df["max_ts"].max()]})
+def _ts_merge(t: pa.Table) -> pa.Table:
+    return pa.table({"min_ts": [pc.min(t["min_ts"])],
+                     "max_ts": [pc.max(t["max_ts"])]})
 
 
 def _analysis_jobs(top_k: int = 50, by_shard: bool = False,
@@ -376,13 +375,10 @@ def _analysis_jobs(top_k: int = 50, by_shard: bool = False,
     from ..aggs.multifold import SinkJob
 
     def or_empty(fn):
-        return lambda df: fn(df) if df is not None and len(df) else \
+        return lambda t: fn(t) if t is not None and t.num_rows else \
             pd.DataFrame()
 
     jobs: dict = {}
-    # ONE pandas conversion per batch shared by every fold sink: the
-    # 8 sinks' needed columns overlap heavily, so converting each
-    # sink's selection separately converted the hot columns 8x
     folds = {name: sink_defs.ALL_SINKS[name](by_shard=by_shard)
              for name in sink_defs.ALL_SINKS if name not in exclude}
     fold_specs = {name: spec for name, (_, spec) in folds.items()}
@@ -429,117 +425,112 @@ def _analysis_jobs(top_k: int = 50, by_shard: bool = False,
                   .rename(columns={"count_duration_ms": "count"}))
             df["count"] = df["count"].fillna(0).astype("int64")
         return df
-    union_cols: list[str] = list(dict.fromkeys(
-        c for s in fold_specs.values() for c in s.needed_columns()))
-    shared: dict = {"batch": None, "df": None}
 
-    def shared_df(batch: pa.Table) -> pd.DataFrame:
-        if shared["batch"] is not batch:
-            shared["batch"] = batch
-            shared["df"] = batch.select(union_cols).to_pandas()
-        return shared["df"]
-
-    def sink_rows(batch: pa.Table, mask_fn) -> pd.DataFrame:
-        keep = pc.fill_null(mask_fn(batch), False)
-        return shared_df(batch)[np.asarray(keep, dtype=bool)]
+    def fold_prep(batch: pa.Table, mask_fn, spec) -> pa.Table:
+        return spec.partial_table(
+            batch.select(spec.needed_columns()).filter(mask_fn(batch)))
 
     for name, spec in fold_specs.items():
         jobs[name] = SinkJob(
-            prep=(lambda b, m=folds[name][0], s=spec:
-                  s.partial_df(sink_rows(b, m))),
-            bucket_merge=spec.merge_bucket,
-            finalize=or_empty(_ref_count if raw else (lambda df: df)),
+            prep=functools.partial(fold_prep, mask_fn=folds[name][0],
+                                   spec=spec),
+            bucket_merge=spec.combine_table,
+            finalize=or_empty(
+                (lambda t, s=spec: _ref_count(s.readout(t))) if raw
+                else spec.readout),
             bucket_keys=list(spec.keys))
 
     if raw:
         _add_raw_jobs(jobs, SinkJob, or_empty, _ref_count, p95_mode)
-    jobs["ts_range"] = SinkJob(_ts_prep, _ts_merge, or_empty(_ts_merge))
+    jobs["ts_range"] = SinkJob(
+        _ts_prep, _ts_merge,
+        or_empty(lambda t: _ts_merge(t).to_pandas(
+            coerce_temporal_nanoseconds=True)))
 
     # A10 processing stats (ProcessingStats.java:4-18,
     # LogParser.java:985-999)
-    def stats_prep(batch: pa.Table) -> pd.DataFrame:
+    def stats_prep(batch: pa.Table) -> pa.Table:
         def s(col):
             return int(pc.sum(batch[col]).as_py() or 0)
-        return pd.DataFrame([{
+        return pa.table({k: pa.array([v], pa.int64()) for k, v in {
             "total_lines": batch.num_rows,
             "found_ops": s("r_ops"), "txn_events": s("r_txn"),
             "conn_events": s("r_conn"), "error_events": s("r_error"),
             "ignored": s("r_ignored"),
             "filtered_by_namespace": int(pc.sum(pc.equal(
                 pc.fill_null(batch["ignored_category"], ""),
-                "filtered_namespace")).as_py() or 0)}])
+                "filtered_namespace")).as_py() or 0)}.items()})
 
-    def stats_merge(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sum().astype("int64").to_frame().T
+    def stats_merge(t: pa.Table) -> pa.Table:
+        return pa.table({c: pa.array([pc.sum(t[c]).as_py()], pa.int64())
+                         for c in t.column_names})
 
-    jobs["processing_stats"] = SinkJob(stats_prep, stats_merge,
-                                       or_empty(stats_merge))
+    jobs["processing_stats"] = SinkJob(
+        stats_prep, stats_merge,
+        or_empty(lambda t: stats_merge(t).to_pandas()))
 
     # K6 category histogram of ignored lines (LogParser.java:985-999)
-    def ignored_prep(batch: pa.Table) -> pd.DataFrame:
-        t = batch.filter(batch["r_ignored"]).select(["ignored_category"])
-        g = t.to_pandas().groupby("ignored_category", dropna=False)
-        return g.size().rename("count()").reset_index()
+    def ignored_prep(batch: pa.Table) -> pa.Table:
+        cat = batch.filter(batch["r_ignored"])["ignored_category"]
+        return _sorted_counts(pa.table({
+            "ignored_category": cat,
+            "count()": pa.array(np.ones(len(cat), np.int64))}),
+            "ignored_category", "count()")
 
-    def ignored_merge(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby("ignored_category", dropna=False)["count()"]
-                .sum().reset_index())
-
-    jobs["ignored"] = SinkJob(ignored_prep, ignored_merge,
-                              or_empty(_ident_df),
-                              bucket_keys=["ignored_category"])
+    jobs["ignored"] = SinkJob(
+        ignored_prep,
+        lambda t: _sorted_counts(t, "ignored_category", "count()"),
+        or_empty(lambda t: t.to_pandas()),
+        bucket_keys=["ignored_category"])
 
     # A8 exact distinct conn ids per appName
     # (AppNameConnectionStatsAccumulator.java:17-65)
-    def conns_prep(batch: pa.Table) -> pd.DataFrame:
-        df = batch.select(["app_name", "ctx"]).to_pandas()
-        df["app_name"] = df["app_name"].fillna(sink_defs.UNKNOWN_APP)
-        return df.drop_duplicates()
+    def conns_prep(batch: pa.Table) -> pa.Table:
+        return ordered_group_by(pa.table({
+            "app_name": pc.fill_null(batch["app_name"],
+                                     sink_defs.UNKNOWN_APP),
+            "ctx": batch["ctx"]}), ["app_name", "ctx"], [])
 
-    def conns_merge(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.drop_duplicates().groupby("app_name", sort=False)
-                .size().rename("distinct_conn_count").reset_index())
+    def conns_merge(t: pa.Table) -> pa.Table:
+        pairs = ordered_group_by(t, ["app_name", "ctx"], [])
+        return (ordered_group_by(pairs, ["app_name"], [
+                    ("ctx", "count", pc.CountOptions("all"))])
+                .select(["app_name", "ctx_count"])
+                .rename_columns(["app_name", "distinct_conn_count"]))
 
-    jobs["app_conns"] = SinkJob(conns_prep, conns_merge,
-                                or_empty(_ident_df),
-                                bucket_keys=["app_name"])
+    jobs["app_conns"] = SinkJob(
+        conns_prep, conns_merge, or_empty(lambda t: t.to_pandas()),
+        bucket_keys=["app_name"])
 
     # T4 top-k slow planning, fed from the ops path only (post
     # namespace filter) (SlowPlanningAccumulator.java:28-58)
     slow_cols = ["planning_time_us", "ns", "op", "plan_summary",
                  "sanitized_query", "query_hash", "app_name", "doc_id"]
 
-    def slow_prep(batch: pa.Table) -> pd.DataFrame:
+    def slow_top(t: pa.Table) -> pa.Table:
+        return t.sort_by([("planning_time_us", "descending"),
+                          ("doc_id", "descending")]).slice(0, top_k)
+
+    def slow_prep(batch: pa.Table) -> pa.Table:
         keep = pc.and_(batch["r_ops"],
                        pc.is_valid(batch["planning_time_us"]))
-        t = batch.select(slow_cols).filter(keep)
-        df = t.to_pandas()
-        return df.sort_values(["planning_time_us", "doc_id"],
-                              ascending=False,
-                              kind="mergesort").head(top_k)
+        return slow_top(batch.select(slow_cols).filter(keep))
 
-    def slow_merge(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.sort_values(["planning_time_us", "doc_id"],
-                               ascending=False, kind="mergesort")
-                .head(top_k).reset_index(drop=True))
-
-    jobs["slow_planning"] = SinkJob(slow_prep, slow_merge,
-                                    or_empty(slow_merge))
+    jobs["slow_planning"] = SinkJob(
+        slow_prep, slow_top,
+        or_empty(lambda t: slow_top(t).to_pandas()))
 
     # J1/A12 two-pass driver stats: ctx-bucketed per-conn rollup, then
     # the per-driver rollup on the driver
     jobs["driver_stats"] = SinkJob(
-        prep=lambda b: conn_events(b).to_pandas(),
-        bucket_merge=conn_meta_rollup,
-        finalize=or_empty(driver_key_rollup),
+        prep=conn_events,
+        bucket_merge=lambda t: pa.Table.from_pandas(
+            conn_meta_rollup(t.to_pandas()), preserve_index=False),
+        finalize=or_empty(lambda t: driver_key_rollup(t.to_pandas())),
         bucket_keys=["ctx"])
     for name in exclude:
         jobs.pop(name, None)
     return jobs
-
-
-def _ident_df(df: pd.DataFrame) -> pd.DataFrame:
-    return df
 
 
 def run_full_analysis(paths, *, redact: bool = True,
@@ -609,7 +600,8 @@ def analysis_partition_id(path: str) -> str:
 
 def completed_analysis_partitions(work_dir: str) -> dict[str, dict]:
     """Manifest of finished partitions for
-    ``run_full_analysis_resumable`` (pid → {"rows": n})."""
+    ``run_full_analysis_resumable`` (pid → {"rows": n, "format":
+    payload format tag})."""
     import json
 
     path = os.path.join(work_dir, "manifest.json")
@@ -672,8 +664,8 @@ def run_full_analysis_resumable(paths, work_dir: str, *,
     merge reads the same files."""
     import json
 
-    from ..aggs.multifold import make_emit, merge_payload_ds, \
-        merge_payload_rows
+    from ..aggs.multifold import PAYLOAD_FORMAT, make_emit, \
+        merge_payload_ds, merge_payload_rows
 
     jobs = _analysis_jobs(by_shard=shards, exclude=exclude,
                           p95_mode=p95_mode, raw=raw)
@@ -689,8 +681,11 @@ def run_full_analysis_resumable(paths, work_dir: str, *,
         pid = pids[p]
         part_file = os.path.join(part_dir, f"{pid}.parquet")
         # committed-but-missing partial (e.g. a crash inside an older
-        # invalidate) is treated as uncommitted: recompute (ADVICE r4)
-        if pid in manifest and os.path.exists(part_file):
+        # invalidate) is treated as uncommitted: recompute (ADVICE r4);
+        # so is a partial in another payload format (an older engine's
+        # pickled frames) — it is never decoded
+        if manifest.get(pid, {}).get("format") == PAYLOAD_FORMAT \
+                and os.path.exists(part_file):
             continue
         cds = classify(load_events([p]), redact=redact,
                        filter_config=filter_config, ns_filter=ns_filter)
@@ -705,7 +700,8 @@ def run_full_analysis_resumable(paths, work_dir: str, *,
         tmp = os.path.join(part_dir, f"{pid}.parquet.tmp-{os.getpid()}")
         pq.write_table(tbl, tmp)
         os.replace(tmp, os.path.join(part_dir, f"{pid}.parquet"))
-        manifest[pid] = {"rows": int(tbl.num_rows)}
+        manifest[pid] = {"rows": int(tbl.num_rows),
+                         "format": PAYLOAD_FORMAT}
         mtmp = os.path.join(work_dir, f"manifest.json.tmp-{os.getpid()}")
         with open(mtmp, "w") as fh:
             json.dump(manifest, fh)
@@ -723,9 +719,7 @@ def run_full_analysis_resumable(paths, work_dir: str, *,
             f"resumable analysis: {len(missing)} committed partition(s) "
             f"missing partials, e.g. {missing[0]}")
     if merge == "distributed":
-        return merge_payload_ds(
-            rd.read_parquet(files).map_batches(
-                lambda t: t.to_pandas(), batch_format="pyarrow"), jobs)
+        return merge_payload_ds(rd.read_parquet(files), jobs)
     frames = [pq.read_table(f).to_pandas() for f in files]
     rows = (pd.concat(frames, ignore_index=True) if frames
             else pd.DataFrame({"sink": pd.Series(dtype="string"),

@@ -27,19 +27,9 @@ def arrow_out(df):
     sort, range partition and merge all stay in Arrow kernels instead
     of pandas object paths).  Falls back to the pandas frame when a
     column can't convert (e.g. an all-null object column whose Arrow
-    type would be ``null`` and break downstream schema unification),
-    or when a cell holds a Python dict: dict cells infer a struct type
-    from THAT BATCH's keys, so two batches of the same logical column
-    would enter the shuffle with different schemas."""
+    type would be ``null`` and break downstream schema unification)."""
     import pyarrow as pa
 
-    for c in df.columns:
-        if df[c].dtype == object and len(df):
-            s = df[c]
-            v = s.iloc[s.notna().to_numpy().argmax()] if s.notna().any() \
-                else None
-            if isinstance(v, dict):
-                return df
     try:
         t = pa.Table.from_pandas(df, preserve_index=False)
     except (pa.ArrowInvalid, pa.ArrowTypeError, ValueError):
@@ -127,17 +117,22 @@ def bucketed_groups(ds, key_cols: list[str], fn, num_buckets: int = 64):
 
 
 def key_hash_buckets(df, key_cols: list[str], num_buckets: int):
-    """Deterministic bucket id per row from a combined hash of
-    ``key_cols`` — THE shared bucket hash (bucketed_groups, the
-    multifold key-bucket split, and the dedup bucket merges all use
-    this one implementation)."""
+    """Deterministic bucket id per row (pandas frame or Arrow table)
+    from a combined hash of ``key_cols`` — THE shared bucket hash
+    (bucketed_groups, the fold and multifold key-bucket splits, and the
+    dedup bucket merges all use this one implementation)."""
     import pandas as pd
+    import pyarrow as pa
 
     h = np.zeros(len(df), dtype=np.uint64)
     with np.errstate(over="ignore"):
         for c in key_cols:
-            h = h * np.uint64(31) + pd.util.hash_pandas_object(
-                df[c], index=False).to_numpy().astype(np.uint64)
+            col = df[c]
+            hv = (pd.util.hash_array(col.to_numpy())
+                  if isinstance(col, pa.ChunkedArray)
+                  else pd.util.hash_pandas_object(col, index=False)
+                  .to_numpy())
+            h = h * np.uint64(31) + hv.astype(np.uint64)
     return (h % num_buckets).astype("int64")
 
 

@@ -5,6 +5,13 @@ import pytest
 import ray
 
 
+def pytest_configure(config):
+    # a FutureWarning raised from engine code fails the test: pandas 3
+    # turns those calls into silent behaviour changes
+    config.addinivalue_line("filterwarnings",
+                            "error::FutureWarning:mlp_ray")
+
+
 @pytest.fixture(scope="session", autouse=True)
 def ray_session():
     ray.init(address="local", num_cpus=4, include_dashboard=False,

@@ -324,3 +324,42 @@ def test_analyze_invalidate_crash_window_recomputes(
     res = analyze.run_full_analysis_resumable(fixture_paths, wd)
     for k in clean:
         pd.testing.assert_frame_equal(_norm(res[k]), _norm(clean[k]))
+
+
+def test_analyze_resume_recomputes_old_payload_format(fixture_paths,
+                                                      tmp_path):
+    """A work_dir from an engine that persisted pickled pandas payloads
+    (manifest entries without the payload-format tag) must not be
+    decoded: its partitions count as uncommitted and are recomputed,
+    like a committed partition whose partial is missing."""
+    import json
+    import pickle
+
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from mlp_ray.aggs.multifold import PAYLOAD_FORMAT
+    from mlp_ray.pipelines import analyze
+
+    wd = tmp_path / "ck"
+    (wd / "partials").mkdir(parents=True)
+    man = {}
+    for p in fixture_paths:
+        pid = analyze.analysis_partition_id(p)
+        stale = pd.DataFrame({"ns": ["stale.ns"], "count": [10 ** 6]})
+        pq.write_table(pa.table({
+            "sink": ["main_ops"], "bucket": pa.array([0], pa.int64()),
+            "payload": pa.array([pickle.dumps(stale)], pa.binary())}),
+            wd / "partials" / f"{pid}.parquet")
+        man[pid] = {"rows": 1}
+    (wd / "manifest.json").write_text(json.dumps(man))
+
+    res = analyze.run_full_analysis_resumable(fixture_paths, str(wd))
+    clean = analyze.run_full_analysis(fixture_paths, mode="driver",
+                                      p95_mode="exact")
+    for k in clean:
+        pd.testing.assert_frame_equal(_norm(res[k]), _norm(clean[k]))
+    man2 = analyze.completed_analysis_partitions(str(wd))
+    assert set(man2) == set(man)
+    assert {e["format"] for e in man2.values()} == {PAYLOAD_FORMAT}
