@@ -123,7 +123,7 @@ def run_flagship(paths: list[str], out_dir: str, *,
                  total_rows: int = BENCH_ROWS,
                  num_cpus: int | None = None) -> dict:
     """Route + aggregate; returns timings and row counts."""
-    from mlp_ray.aggs.fold import run_fold
+    from mlp_ray.aggs.fold import fold_frame
     from mlp_ray.aggs import sinks as sink_defs
     from mlp_ray.pipelines import route
 
@@ -155,7 +155,7 @@ def run_flagship(paths: list[str], out_dir: str, *,
     # small outputs skip the sort shuffle; large partial sets (exact
     # p95 value arrays grow with rows) stay on the distributed merge
     merge = "driver" if total_rows <= 4_000_000 else "distributed"
-    main_ops = run_fold(ops_ds, agg_spec, merge=merge).to_pandas()
+    main_ops = fold_frame(ops_ds, agg_spec, merge=merge)
     t_agg = time.perf_counter() - t1
     return {
         "route_sec": round(t_route, 3),

@@ -51,6 +51,8 @@ value lists whose shuffle volume grows with the data.
 The public ``partial`` / ``combine_partials`` return a
 ``pd.ArrowDtype``-backed view of the Arrow partial, so callers can
 ``pd.concat`` them and hand the result to ``merge_bucket``.
+``run_fold`` runs both phases over a Ray Dataset; ``fold_frame``
+collects its result into one pandas frame, typed even when empty.
 """
 
 from __future__ import annotations
@@ -592,8 +594,8 @@ def run_fold(ds, spec: FoldSpec, *, batch_size: int = 131072,
              num_buckets: int = 64, salt: int = 1,
              merge: str = "distributed"):
     """Apply the two-phase fold to a Ray Dataset → Dataset of final
-    pandas rows (``FoldSpec.readout`` columns and dtypes; a typed zero-
-    row table when ``ds`` has no rows).
+    pandas rows (``FoldSpec.readout`` columns and dtypes).  Collect it
+    with ``fold_frame``, which also types the result of an empty fold.
 
     Every stage runs with ``batch_format="pyarrow"``: per-batch
     ``partial_table``, then a shuffle keyed on ``hash(keys) %
@@ -641,5 +643,14 @@ def run_fold(ds, spec: FoldSpec, *, batch_size: int = 131072,
                                   buckets=num_buckets),
                 batch_format="pyarrow")
             .groupby("_bucket")
-            .map_groups(spec.merge_bucket, batch_format="pyarrow")
-            .union(rd.from_pandas(spec.merge_bucket(None))))
+            .map_groups(spec.merge_bucket, batch_format="pyarrow"))
+
+
+def fold_frame(ds, spec: FoldSpec, **kw) -> pd.DataFrame:
+    """``run_fold(ds, spec, **kw)`` collected into one pandas frame.
+    A fold over zero rows returns the typed zero-row final table
+    (``spec.merge_bucket(None)``): Ray's ``Dataset.to_pandas`` skips
+    zero-row blocks, so the collected Dataset alone would come back
+    without columns."""
+    out = run_fold(ds, spec, **kw).to_pandas()
+    return out if len(out) else spec.merge_bucket(None)

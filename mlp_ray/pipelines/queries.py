@@ -18,7 +18,7 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
-from ..aggs.fold import FoldSpec, run_fold
+from ..aggs.fold import FoldSpec, fold_frame
 from ..ops import ann, dedup, scrub, text, trim
 from ..util import (arrow_partials, merge_partials, round_cols,
                     round_half_away)
@@ -46,8 +46,8 @@ def events_main_agg(sf_dir: str) -> pd.DataFrame:
     spec = FoldSpec(keys=["event_type"],
                     metrics={"value": ("min", "max", "avg", "p95", "sum")},
                     order_col="event_id")
-    out = run_fold(_events(sf_dir, ["event_id", "event_type", "value"]),
-                   spec, merge="driver").to_pandas()
+    out = fold_frame(_events(sf_dir, ["event_id", "event_type", "value"]),
+                     spec, merge="driver")
     return round_cols(out, ["min_value", "max_value", "avg_value",
                             "p95_value", "sum_value"])
 
@@ -598,8 +598,8 @@ def events_argmax_sample(sf_dir: str) -> pd.DataFrame:
     ds = _events(sf_dir, ["event_id", "event_type", "value"])
     spec = FoldSpec(keys=["event_type"], sample_by="value",
                     order_col="order_key")
-    out = run_fold(ds.map_batches(_pad_event_order, batch_format="pyarrow",
-                                  zero_copy_batch=True), spec).to_pandas()
+    out = fold_frame(ds.map_batches(_pad_event_order, batch_format="pyarrow",
+                                    zero_copy_batch=True), spec)
     # int() parses leading-zero strings fine (lstrip would turn the
     # all-zero id of event 0 into "" and crash)
     out["sample_event_id"] = out.pop("sample_doc_id").astype(
@@ -614,9 +614,9 @@ def events_first_last(sf_dir: str) -> pd.DataFrame:
     spec = FoldSpec(keys=["user_id"], first_cols=["event_type"],
                     last_cols=["event_type"], order_col="order_key",
                     col_dtypes={"user_id": "Int64"})
-    out = run_fold(ds.map_batches(_pad_event_order, batch_format="pyarrow",
-                                  zero_copy_batch=True), spec,
-                   merge="driver").to_pandas()
+    out = fold_frame(ds.map_batches(_pad_event_order, batch_format="pyarrow",
+                                    zero_copy_batch=True), spec,
+                     merge="driver")
     out["user_id"] = out["user_id"].astype("int64")
     return out
 
@@ -819,8 +819,8 @@ def doc_len_quantiles(sf_dir: str) -> pd.DataFrame:
                     metrics={"n_chars": ("min", "max", "avg",
                                          "p50", "p95", "p99")},
                     order_col="doc_id")
-    out = run_fold(_docs(sf_dir, ["doc_id", "lang", "n_chars"]),
-                   spec, merge="driver").to_pandas()
+    out = fold_frame(_docs(sf_dir, ["doc_id", "lang", "n_chars"]),
+                     spec, merge="driver")
     return round_cols(out, ["min_n_chars", "max_n_chars", "avg_n_chars",
                             "p50_n_chars", "p95_n_chars", "p99_n_chars"])
 
@@ -1335,8 +1335,8 @@ def events_value_quartiles(sf_dir: str) -> pd.DataFrame:
     spec = FoldSpec(keys=["event_type"],
                     metrics={"value": ("p25", "p50", "p75")},
                     order_col="event_id")
-    out = run_fold(_events(sf_dir, ["event_id", "event_type", "value"]),
-                   spec, merge="driver").to_pandas()
+    out = fold_frame(_events(sf_dir, ["event_id", "event_type", "value"]),
+                     spec, merge="driver")
     return round_cols(out, ["p25_value", "p50_value", "p75_value"])
 
 
@@ -1946,7 +1946,7 @@ def rawlog_main_ops(sf_dir: str) -> pd.DataFrame:
     filtered = classify(parsed).map_batches(
         lambda b: b.filter(mask_fn(b)), batch_format="pyarrow",
         zero_copy_batch=True)
-    return _round_floats(run_fold(filtered, spec, merge="driver").to_pandas())
+    return _round_floats(fold_frame(filtered, spec, merge="driver"))
 
 
 # --- full-outer join + set/window/histogram battery (round-3b) --------

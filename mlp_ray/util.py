@@ -128,12 +128,34 @@ def key_hash_buckets(df, key_cols: list[str], num_buckets: int):
     with np.errstate(over="ignore"):
         for c in key_cols:
             col = df[c]
-            hv = (pd.util.hash_array(col.to_numpy())
-                  if isinstance(col, pa.ChunkedArray)
+            hv = (_arrow_key_hash(col) if isinstance(col, pa.ChunkedArray)
                   else pd.util.hash_pandas_object(col, index=False)
                   .to_numpy())
             h = h * np.uint64(31) + hv.astype(np.uint64)
     return (h % num_buckets).astype("int64")
+
+
+def _arrow_key_hash(col) -> np.ndarray:
+    """Per-row hash of an Arrow key column, equal to pandas'
+    ``hash_pandas_object`` of the column as a nullable ``Int64`` /
+    ``boolean`` / string series: a value hashes the same whether or not
+    its batch holds a null.  (``to_numpy`` of an integer column with a
+    null is float64, whose bits hash 1.0 apart from 1.)"""
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    t = col.type
+    if not (pa.types.is_integer(t) or pa.types.is_boolean(t)):
+        return pd.util.hash_array(col.to_numpy(zero_copy_only=False))
+    if pa.types.is_integer(t):
+        vals = pc.fill_null(pc.cast(col, pa.int64()), 0)
+    else:
+        vals = pc.fill_null(col, False)
+    hv = pd.util.hash_array(vals.to_numpy())
+    if col.null_count:
+        hv[pc.is_null(col).to_numpy(zero_copy_only=False)] = hash(pd.NA)
+    return hv
 
 
 def fixture_path(prefix: str, sf_dir: str) -> str:

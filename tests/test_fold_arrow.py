@@ -8,7 +8,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from mlp_ray.aggs.fold import FoldSpec, ordered_group_by, run_fold
+from mlp_ray.aggs.fold import FoldSpec, fold_frame, ordered_group_by
 
 SPEC = dict(
     keys=["k1", "k2"],
@@ -78,19 +78,15 @@ def test_empty_fold_keeps_every_final_column_and_dtype():
 
 @pytest.mark.parametrize("merge", ["distributed", "driver"])
 def test_run_fold_over_empty_dataset_is_typed(ray_session, merge):
-    import ray
     import ray.data as rd
 
     spec = FoldSpec(**SPEC)
     full = _final(spec, _table(50, 1))
     ds = rd.from_arrow(_table(50, 1)).filter(lambda r: False)
-    out = run_fold(ds, spec, merge=merge)
-    # Ray's to_pandas() skips zero-row blocks; the Dataset still
-    # carries the typed zero-row final block
-    assert out.count() == 0
-    assert out.schema().names == full.columns.tolist()
-    typed = [f for f in ray.get(out.to_pandas_refs()) if len(f.columns)]
-    assert [f.dtypes.to_dict() for f in typed] == [full.dtypes.to_dict()]
+    out = fold_frame(ds, spec, merge=merge)
+    assert len(out) == 0
+    assert out.columns.tolist() == full.columns.tolist()
+    assert out.dtypes.to_dict() == full.dtypes.to_dict()
 
 
 def test_empty_batch_partial_merges_with_nonempty_ones():
@@ -189,3 +185,54 @@ def test_multifold_payloads_are_arrow_ipc(fixture_paths):
         for blob in rows["payload"]:
             t = pa.ipc.open_stream(blob).read_all()
             assert isinstance(t, pa.Table) and t.num_rows > 0
+
+
+def test_bucket_hash_ignores_nulls_elsewhere_in_the_column():
+    from mlp_ray.util import key_hash_buckets
+
+    for typ, v in ((pa.int64(), 1), (pa.int32(), -7), (pa.bool_(), True)):
+        with_null = pa.table({"k": pa.array([v, None], typ)})
+        without = pa.table({"k": pa.array([v], typ)})
+        for n in (16, 64):
+            assert key_hash_buckets(with_null, ["k"], n)[0] \
+                == key_hash_buckets(without, ["k"], n)[0], (typ, n)
+
+
+def test_distributed_multifold_keeps_txn_groups_whole(fixture_paths):
+    """A nonzero txn_retry_counter key must land in one bucket whether
+    or not its batch also holds a null counter, else the distributed
+    merge emits the group once per bucket."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from mlp_ray.aggs.multifold import (make_emit, merge_payload_ds,
+                                        merge_payload_rows)
+    from mlp_ray.pipelines.analyze import (ATTR_COLUMNS, _analysis_jobs,
+                                           apply_stage_chain)
+    from mlp_ray.stages.enrich import NsEnricher
+    from mlp_ray.stages.redact import Redactor
+
+    batch = apply_stage_chain(pq.read_table(fixture_paths[0],
+                                            columns=ATTR_COLUMNS),
+                              Redactor(), NsEnricher())
+    half = batch.num_rows // 2
+    first, second = batch.slice(0, half), batch.slice(half)
+    ctr = second["txn_retry_counter"]
+    i = second.schema.get_field_index("txn_retry_counter")
+    second = second.set_column(i, "txn_retry_counter", pc.if_else(
+        pc.equal(ctr, 0), pa.scalar(None, ctr.type), ctr))
+    assert pc.sum(pc.and_(first["r_txn"], pc.not_equal(
+        first["txn_retry_counter"], 0))).as_py() > 0
+
+    jobs = {"txn": _analysis_jobs()["txn"]}
+    emit = make_emit(jobs, "distributed")
+    rows = pd.concat([emit(first), emit(second)], ignore_index=True)
+    keys = ["txn_retry_counter", "termination_cause", "commit_type"]
+    dist = merge_payload_ds(rd.from_pandas(rows), jobs)["txn"]
+    drv = merge_payload_rows(rows, jobs)["txn"]
+    assert not dist.duplicated(keys).any()
+    assert dist["txn_retry_counter"].isna().any()
+    pd.testing.assert_frame_equal(
+        dist.sort_values(keys, ignore_index=True),
+        drv.sort_values(keys, ignore_index=True))
