@@ -57,15 +57,22 @@ def to_ipc(t: pa.Table) -> bytes:
 
 
 def _concat(blobs) -> pa.Table | None:
-    tables = [pa.ipc.open_stream(b).read_all() for b in blobs]
+    tables = [pa.ipc.open_stream(b.as_buffer()).read_all()
+              for b in pa.array(blobs, pa.binary())]
     return (pa.concat_tables(tables, promote_options="permissive")
             if tables else None)
 
 
 def _payload_frame(sinks, buckets, payloads) -> pd.DataFrame:
+    # an Arrow-backed payload column: Ray ships its buffers and the
+    # driver decodes the payloads from them.  An object column of bytes
+    # is unpickled into one Python bytes object per payload on Ray's
+    # batch-formatting threads, whose malloc arenas then grow over
+    # repeated reports in a long-lived driver.
     return pd.DataFrame({"sink": pd.array(sinks, dtype="string"),
                          "bucket": np.asarray(buckets, dtype=np.int64),
-                         "payload": pd.array(payloads, dtype=object)})
+                         "payload": pd.array(payloads, dtype=pd.ArrowDtype(
+                             pa.binary()))})
 
 
 def make_emit(jobs: dict[str, SinkJob], mode: str = "driver",
@@ -120,7 +127,7 @@ def merge_payload_ds(payload, jobs: dict[str, SinkJob]
 
     def merge_group(g: pa.Table) -> pd.DataFrame:
         name = g["sink"][0].as_py()
-        merged = jobs[name].bucket_merge(_concat(g["payload"].to_pylist()))
+        merged = jobs[name].bucket_merge(_concat(g["payload"]))
         return _payload_frame([name], [g["bucket"][0].as_py()],
                               [to_ipc(merged)])
 
