@@ -71,7 +71,7 @@ def cmd_analyze(args):
     results = analyze.run_full_analysis(
         None, ds=_load(args), redact=not args.no_redact,
         filter_config=fc, ns_filter=nf, shards=args.shards,
-        exclude=frozenset(
+        raw=args.raw_logs, exclude=frozenset(
             (["driver_stats"] if args.no_drivers else [])
             + (["app_conns"] if args.no_app_stats else [])))
     os.makedirs(args.out, exist_ok=True)

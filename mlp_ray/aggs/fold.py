@@ -51,8 +51,12 @@ value lists whose shuffle volume grows with the data.
 The public ``partial`` / ``combine_partials`` return a
 ``pd.ArrowDtype``-backed view of the Arrow partial, so callers can
 ``pd.concat`` them and hand the result to ``merge_bucket``.
-``run_fold`` runs both phases over a Ray Dataset; ``fold_frame``
-collects its result into one pandas frame, typed even when empty.
+
+This module is the per-batch algebra only.  ``fold_frame`` and
+``run_fold`` run a spec over a Ray Dataset as the one-sink case of
+``aggs.multifold`` (``fold_job``): partials leave the batch as Arrow IPC
+payloads, and multifold decides where they merge — on the driver, or
+through its ``(sink, bucket)`` exchange, salted first level included.
 """
 
 from __future__ import annotations
@@ -65,6 +69,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .multifold import fold_job, run_multi_fold
 
 # any "pNN[.N]" stat token is a quantile (p50, p95, p99, p99.9) — they
 # all read from the SAME per-group value list / sketch, so extra
@@ -224,8 +230,6 @@ class FoldSpec:
         before the final merge."""
         if parts is None:
             return self._empty_partial()
-        if "_bucket" in parts.column_names:
-            parts = parts.drop_columns(["_bucket"])
         n = parts.num_rows
         cols = {k: parts[k] for k in self.keys}
         cols["_row"] = pa.array(np.arange(n, dtype=np.int64))
@@ -293,11 +297,14 @@ class FoldSpec:
         return pa.table(out)
 
     # ------------------------------------------------------------------
-    def readout(self, comb: pa.Table) -> pd.DataFrame:
+    def readout(self, comb: pa.Table | None) -> pd.DataFrame:
         """Combined partial (one row per group) → final pandas table:
         keys, ``count``, per metric ``count_/sum_/min_/max_/avg_/pNN_``,
         the bool counts, ``map_*`` JSON count-maps, ``first_*`` /
-        ``last_*`` and ``sample_doc_id``, in that column order."""
+        ``last_*`` and ``sample_doc_id``, in that column order.
+        ``None`` (no partials) → the typed zero-row table."""
+        if comb is None:
+            comb = self._empty_partial()
         out = {k: _pd(comb[k], self._dtype(k)) for k in self.keys}
         out["count"] = _np(comb["count"], np.int64)
         n_groups = comb.num_rows
@@ -577,80 +584,37 @@ def _quantile_of_pairs(bins: np.ndarray, counts: np.ndarray,
     return out
 
 
-def _add_bucket(t: pa.Table, *, keys: list[str], buckets: int,
-                salt_mod: int = 1) -> pa.Table:
-    from ..util import key_hash_buckets
+def fold_frame(ds, spec: FoldSpec, *, merge: str = "distributed",
+               batch_size: int = 131072, num_buckets: int = 64,
+               salt: int = 1) -> pd.DataFrame:
+    """Fold a Ray Dataset with ``spec`` → one pandas frame of final rows
+    (``readout`` columns and dtypes, typed even for an empty input):
+    the one-sink case of ``multifold.run_multi_fold``.
 
-    b = key_hash_buckets(t, keys, buckets)
-    if salt_mod > 1:
-        # deterministic per-partial salt: spreads one group's partial
-        # rows over `salt_mod` fine buckets
-        s = pd.util.hash_array(np.arange(t.num_rows, dtype=np.int64))
-        b = b * salt_mod + (s % salt_mod).astype(np.int64)
-    return t.append_column("_bucket", pa.array(b, pa.int64()))
+    ``merge="driver"`` merges the collected partials (one row per
+    group × batch) in-process.  ``"distributed"`` tags each partial
+    with its ``hash(keys) % num_buckets`` bucket and lets the measured
+    payload size pick the driver merge or the ``(sink, bucket)``
+    exchange; use it when partials can be large (exact-p95 value lists
+    grow with the data).
+
+    ``salt > 1`` (distributed) always runs the salted two-level
+    exchange: each payload is first combined (``combine_table``,
+    partial→partial) in one of ``salt`` fine buckets, so a hot key
+    costs any single task about ``#batches / salt`` payloads at level
+    1 and at most ``salt`` at the final merge — the north rule's salted-key
+    skew mitigation.  Pair it with ``p95_mode='sketch'`` at scale so
+    the combined state stays bounded."""
+    return run_multi_fold(ds, {"fold": fold_job(spec)}, mode=merge,
+                          batch_size=batch_size, num_buckets=num_buckets,
+                          salt=salt)["fold"]
 
 
-def run_fold(ds, spec: FoldSpec, *, batch_size: int = 131072,
-             num_buckets: int = 64, salt: int = 1,
-             merge: str = "distributed"):
-    """Apply the two-phase fold to a Ray Dataset → Dataset of final
-    pandas rows (``FoldSpec.readout`` columns and dtypes).  Collect it
-    with ``fold_frame``, which also types the result of an empty fold.
-
-    Every stage runs with ``batch_format="pyarrow"``: per-batch
-    ``partial_table``, then a shuffle keyed on ``hash(keys) %
-    num_buckets`` (``util.key_hash_buckets``, deterministic across
-    processes) whose bucket tasks each receive whole groups and merge
-    them with ``merge_bucket``.
-
-    ``merge="driver"`` collects the partial rows (small: one row per
-    group × block) and merges them in-process, skipping the
-    groupby-sort shuffle whose ~2-3 s fixed latency dominates small
-    jobs; use the default distributed merge when partials are large
-    (exact-p95 partials carry value lists that grow with the data).
-
-    ``salt > 1`` inserts a salted first-level combine: partials are
-    hashed on (key, salt) into ``num_buckets × salt`` fine buckets and
-    reduced with ``combine_table`` (partial→partial, one row per group
-    per fine bucket) before the final merge. A hot key that owns half
-    the corpus then costs any single task at most ``#blocks / salt``
-    partial rows at level 1 and ``salt`` rows at the final merge — the
-    north rule's salted-key skew mitigation. Use with
-    ``p95_mode='sketch'`` at scale so the combined state stays bounded
-    (exact mode still concatenates value lists)."""
-    import functools
-
+def run_fold(ds, spec: FoldSpec, **kw):
+    """``fold_frame(ds, spec, **kw)`` as a Ray Dataset, for consumers
+    that write or chain it.  Ray's ``Dataset.to_pandas`` skips zero-row
+    blocks, so collect with ``fold_frame`` to keep an empty result
+    typed."""
     import ray.data as rd
 
-    partials = ds.map_batches(spec.partial_table, batch_format="pyarrow",
-                              batch_size=batch_size, zero_copy_batch=True)
-    if merge == "driver":
-        blocks = [b for b in partials.iter_batches(
-            batch_size=None, batch_format="pyarrow") if b.num_rows]
-        return rd.from_pandas(spec.merge_bucket(
-            pa.concat_tables(blocks, promote_options="permissive")
-            if blocks else None))
-
-    keys = list(spec.keys)
-    if salt > 1:
-        partials = (partials.map_batches(
-            functools.partial(_add_bucket, keys=keys, buckets=num_buckets,
-                              salt_mod=salt), batch_format="pyarrow")
-            .groupby("_bucket")
-            .map_groups(spec.combine_table, batch_format="pyarrow"))
-    return (partials.map_batches(
-                functools.partial(_add_bucket, keys=keys,
-                                  buckets=num_buckets),
-                batch_format="pyarrow")
-            .groupby("_bucket")
-            .map_groups(spec.merge_bucket, batch_format="pyarrow"))
-
-
-def fold_frame(ds, spec: FoldSpec, **kw) -> pd.DataFrame:
-    """``run_fold(ds, spec, **kw)`` collected into one pandas frame.
-    A fold over zero rows returns the typed zero-row final table
-    (``spec.merge_bucket(None)``): Ray's ``Dataset.to_pandas`` skips
-    zero-row blocks, so the collected Dataset alone would come back
-    without columns."""
-    out = run_fold(ds, spec, **kw).to_pandas()
-    return out if len(out) else spec.merge_bucket(None)
+    return rd.from_pandas(fold_frame(ds, spec, **kw))

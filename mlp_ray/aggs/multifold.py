@@ -12,6 +12,10 @@ partial volume is groups × blocks, not rows), or through a single
 unconditional driver merge was a driver-memory regression when exact
 p95 partials carry raw value lists).
 
+It also serves ``fold.fold_frame``/``run_fold`` (a ``FoldSpec`` as the
+one job, ``fold_job``) and the resumable report's persisted payloads
+(``merge_payloads``): only this module decides where partials merge.
+
 Sink contract (``SinkJob``), Arrow until the final step:
   prep(batch: pa.Table) -> pa.Table | None      per-batch partial
   bucket_merge(t: pa.Table) -> pa.Table         reduce rows of a bucket
@@ -28,6 +32,8 @@ equal ``finalize(concat_over_buckets(bucket_merge(bucket_partials)))``
 
 from __future__ import annotations
 
+import functools
+import zlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,6 +53,26 @@ class SinkJob:
     bucket_merge: Callable[[pa.Table], pa.Table]
     finalize: Callable[[pa.Table | None], pd.DataFrame]
     bucket_keys: list[str] | None = None
+
+
+def _fold_prep(batch: pa.Table, *, spec, mask) -> pa.Table:
+    t = batch.select(spec.needed_columns())
+    if mask is not None:
+        t = t.filter(mask(batch))
+    return spec.partial_table(t)
+
+
+def fold_job(spec, mask: Callable[[pa.Table], pa.Array] | None = None,
+             finalize: Callable[[pa.Table | None], pd.DataFrame] | None
+             = None) -> SinkJob:
+    """A ``FoldSpec`` as a sink: ``partial_table`` of the rows where
+    ``mask(batch)`` holds (all rows without a mask), ``combine_table``
+    per bucket of the spec's keys, ``readout`` (typed when empty)
+    unless another ``finalize`` is given."""
+    return SinkJob(prep=functools.partial(_fold_prep, spec=spec, mask=mask),
+                   bucket_merge=spec.combine_table,
+                   finalize=finalize or spec.readout,
+                   bucket_keys=list(spec.keys))
 
 
 def to_ipc(t: pa.Table) -> bytes:
@@ -108,22 +134,26 @@ def make_emit(jobs: dict[str, SinkJob], mode: str = "driver",
     return emit
 
 
+def _sink_partials(rows: pd.DataFrame, jobs: dict[str, SinkJob]):
+    """(sink, its decoded payload rows or None), one sink at a time so
+    only one sink's partials are decoded at once.  Ray's to_pandas of
+    zero payload rows has no columns."""
+    for name in jobs:
+        yield name, (_concat(rows.loc[rows["sink"] == name, "payload"])
+                     if len(rows) else None)
+
+
 def merge_payload_rows(rows: pd.DataFrame,
                        jobs: dict[str, SinkJob]) -> dict[str, pd.DataFrame]:
     """Driver-side merge of collected payload rows → final tables."""
-    out = {}
-    for name, job in jobs.items():
-        t = _concat(rows.loc[rows["sink"] == name, "payload"])
-        out[name] = job.finalize(job.bucket_merge(t) if t is not None
-                                 else None)
-    return out
+    return {name: jobs[name].finalize(
+                None if t is None else jobs[name].bucket_merge(t))
+            for name, t in _sink_partials(rows, jobs)}
 
 
-def merge_payload_ds(payload, jobs: dict[str, SinkJob]
-                     ) -> dict[str, pd.DataFrame]:
-    """Distributed merge of a payload-row Dataset: ONE
-    ``groupby((sink, bucket))`` shuffle, bucket_merge remote, finalize
-    on the driver over the concatenated merged buckets."""
+def _merge_groups(payload, jobs: dict[str, SinkJob], keys: list[str]):
+    """One exchange: each ``keys`` group of payload rows merges
+    remotely into one payload row tagged with its (sink, bucket)."""
 
     def merge_group(g: pa.Table) -> pd.DataFrame:
         name = g["sink"][0].as_py()
@@ -131,11 +161,33 @@ def merge_payload_ds(payload, jobs: dict[str, SinkJob]
         return _payload_frame([name], [g["bucket"][0].as_py()],
                               [to_ipc(merged)])
 
-    finals = (payload.groupby(["sink", "bucket"])
-              .map_groups(merge_group, batch_format="pyarrow").to_pandas())
-    return {name: job.finalize(
-                _concat(finals.loc[finals["sink"] == name, "payload"]))
-            for name, job in jobs.items()}
+    return payload.groupby(keys).map_groups(merge_group,
+                                            batch_format="pyarrow")
+
+
+def merge_payload_ds(payload, jobs: dict[str, SinkJob]
+                     ) -> dict[str, pd.DataFrame]:
+    """Distributed merge of a payload-row Dataset: ONE
+    ``groupby((sink, bucket))`` shuffle, bucket_merge remote, finalize
+    on the driver over the concatenated merged buckets."""
+    finals = _merge_groups(payload, jobs, ["sink", "bucket"]).to_pandas()
+    return {name: jobs[name].finalize(t)
+            for name, t in _sink_partials(finals, jobs)}
+
+
+def _salted_level(payload, jobs: dict[str, SinkJob], salt: int):
+    """First level of the two-level exchange: payload rows hash to one
+    of ``salt`` fine buckets per (sink, bucket), each merged to one row
+    (``bucket_merge`` must be closed under merge, as ``combine_table``
+    is)."""
+
+    def add_fine(t: pa.Table) -> pa.Table:
+        fine = [zlib.crc32(b.as_buffer()) % salt for b in t["payload"]]
+        return t.append_column("fine", pa.array(fine, pa.int64()))
+
+    return _merge_groups(payload.map_batches(add_fine,
+                                             batch_format="pyarrow"),
+                         jobs, ["sink", "bucket", "fine"])
 
 
 # In distributed mode the partials are bounded (the input-size gate
@@ -148,15 +200,34 @@ def merge_payload_ds(payload, jobs: dict[str, SinkJob]
 PAYLOAD_DRIVER_MAX_BYTES = 64 << 20
 
 
+def merge_payloads(payload, jobs: dict[str, SinkJob], *,
+                   payload_driver_max_bytes: int | None = None,
+                   salt: int = 1) -> dict[str, pd.DataFrame]:
+    """THE merge tail of a Dataset of bucket-tagged payload rows:
+    materialize ONLY the partials (bounded; the object store spills)
+    and route on their real size — up to ``payload_driver_max_bytes``
+    (default ``PAYLOAD_DRIVER_MAX_BYTES``) merge on the driver, more in
+    the (sink, bucket) exchange.  ``salt > 1`` always runs the salted
+    two-level exchange."""
+    pm = payload.materialize()
+    if salt > 1:
+        return merge_payload_ds(_salted_level(pm, jobs, salt), jobs)
+    if payload_driver_max_bytes is None:
+        payload_driver_max_bytes = PAYLOAD_DRIVER_MAX_BYTES
+    if pm.size_bytes() <= payload_driver_max_bytes:
+        return merge_payload_rows(pm.to_pandas(), jobs)
+    return merge_payload_ds(pm, jobs)
+
+
 def run_multi_fold(cds, jobs: dict[str, SinkJob], *,
                    mode: str = "driver", batch_size: int = 32768,
                    num_buckets: int = 16,
-                   payload_driver_max_bytes: int = PAYLOAD_DRIVER_MAX_BYTES
-                   ) -> dict[str, pd.DataFrame]:
+                   payload_driver_max_bytes: int | None = None,
+                   salt: int = 1) -> dict[str, pd.DataFrame]:
     """One streaming pass over ``cds`` → one final pandas table per
     sink.  ``mode="driver"`` collects partial payloads and merges
-    in-process; ``mode="distributed"`` shuffles payloads once, keyed on
-    (sink, key-hash bucket), and merges remotely.
+    in-process; ``mode="distributed"`` tags each payload with its
+    key-hash bucket and merges through ``merge_payloads``.
 
     ``batch_size`` trades task parallelism + per-prep Arrow chunking
     cost against partial volume (groups × batches).  Measured on the
@@ -171,11 +242,5 @@ def run_multi_fold(cds, jobs: dict[str, SinkJob], *,
                               batch_size=batch_size, zero_copy_batch=True)
     if mode == "driver":
         return merge_payload_rows(payload.to_pandas(), jobs)
-    # materialize ONLY the partials (bounded; object store spills) so
-    # the merge route can key on their real size instead of the
-    # input-size proxy — the input gate decides the p95 estimator,
-    # the payload gate decides where the merge runs
-    pm = payload.materialize()
-    if pm.size_bytes() <= payload_driver_max_bytes:
-        return merge_payload_rows(pm.to_pandas(), jobs)
-    return merge_payload_ds(pm, jobs)
+    return merge_payloads(payload, jobs, salt=salt,
+                          payload_driver_max_bytes=payload_driver_max_bytes)

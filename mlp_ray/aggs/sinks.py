@@ -5,9 +5,9 @@ the classified event table.
 Each ``make_*`` returns ``(mask_fn, FoldSpec)`` where ``mask_fn`` maps
 a classified Arrow batch to the boolean row mask selecting the sink's
 rows (built on the fan-out routing masks computed by
-``stages.classify``).  ``run_fold`` callers and the single-pass
-report (``analyze._analysis_jobs``) apply it with
-``batch.filter(mask_fn(batch))``.
+``stages.classify``).  The single-pass report
+(``analyze._analysis_jobs``) hands the pair to ``multifold.fold_job``,
+whose prep keeps the rows of ``mask_fn(batch)`` before the partial.
 """
 
 from __future__ import annotations

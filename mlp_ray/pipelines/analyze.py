@@ -372,7 +372,7 @@ def _analysis_jobs(top_k: int = 50, by_shard: bool = False,
     table is fed by the driver-thread hook (LogParser.java:938-970).
     The timestamp range skips ignored lines whenever the input carries
     parse status (``_ts_prep``)."""
-    from ..aggs.multifold import SinkJob
+    from ..aggs.multifold import SinkJob, fold_job
 
     def or_empty(fn):
         return lambda t: fn(t) if t is not None and t.num_rows else \
@@ -426,19 +426,10 @@ def _analysis_jobs(top_k: int = 50, by_shard: bool = False,
             df["count"] = df["count"].fillna(0).astype("int64")
         return df
 
-    def fold_prep(batch: pa.Table, mask_fn, spec) -> pa.Table:
-        return spec.partial_table(
-            batch.select(spec.needed_columns()).filter(mask_fn(batch)))
-
     for name, spec in fold_specs.items():
-        jobs[name] = SinkJob(
-            prep=functools.partial(fold_prep, mask_fn=folds[name][0],
-                                   spec=spec),
-            bucket_merge=spec.combine_table,
-            finalize=or_empty(
-                (lambda t, s=spec: _ref_count(s.readout(t))) if raw
-                else spec.readout),
-            bucket_keys=list(spec.keys))
+        jobs[name] = fold_job(spec, folds[name][0], or_empty(
+            (lambda t, s=spec: _ref_count(s.readout(t))) if raw
+            else spec.readout))
 
     if raw:
         _add_raw_jobs(jobs, SinkJob, or_empty, _ref_count, p95_mode)
@@ -576,11 +567,10 @@ def run_full_analysis(paths, *, redact: bool = True,
         ds = load_events(paths)
     cds = classify(ds, redact=redact, filter_config=filter_config,
                    ns_filter=ns_filter)
-    kw = ({} if payload_driver_max_bytes is None
-          else {"payload_driver_max_bytes": payload_driver_max_bytes})
     return run_multi_fold(
         cds, _analysis_jobs(by_shard=shards, exclude=exclude,
-                            p95_mode=p95_mode, raw=raw), mode=mode, **kw)
+                            p95_mode=p95_mode, raw=raw), mode=mode,
+        payload_driver_max_bytes=payload_driver_max_bytes)
 
 
 def analysis_partition_id(path: str) -> str:
@@ -637,11 +627,15 @@ def invalidate_analysis_partitions(work_dir: str, pids) -> None:
             os.remove(p)
 
 
+# Layout of a persisted partition's payload rows
+_PARTIALS_SCHEMA = pa.schema([("sink", pa.string()), ("bucket", pa.int64()),
+                              ("payload", pa.binary())])
+
+
 def run_full_analysis_resumable(paths, work_dir: str, *,
                                 redact: bool = True, shards: bool = False,
                                 exclude: set[str] | frozenset = frozenset(),
                                 p95_mode: str = "exact", raw: bool = False,
-                                merge: str = "driver",
                                 filter_config=None, ns_filter=None
                                 ) -> dict[str, pd.DataFrame]:
     """CHECKPOINTED ``run_full_analysis``: one emit pass PER INPUT
@@ -657,19 +651,20 @@ def run_full_analysis_resumable(paths, work_dir: str, *,
     the same tagged partial rows the single-pass job would, just
     persisted between passes.  Partial volume is groups × blocks per
     partition (never row-scale), so the checkpoint cost is the
-    manifest write + a small parquet.  ``merge="distributed"`` routes
-    the final reduce through the (sink, bucket) groupby exchange for
-    partial sets too large for one driver concat (exact-p95 value
-    arrays over many partitions); emit always bucket-tags so either
-    merge reads the same files."""
+    manifest write + a small parquet.  The persisted partials are read
+    back as one Dataset and merged by ``multifold.merge_payloads``, the
+    tail ``run_multi_fold`` uses: the measured payload size picks the
+    driver merge or the (sink, bucket) exchange (exact-p95 value arrays
+    over many partitions), so emit always bucket-tags."""
     import json
 
-    from ..aggs.multifold import PAYLOAD_FORMAT, make_emit, \
-        merge_payload_ds, merge_payload_rows
+    import ray
+
+    from ..aggs.multifold import PAYLOAD_FORMAT, make_emit, merge_payloads
 
     jobs = _analysis_jobs(by_shard=shards, exclude=exclude,
                           p95_mode=p95_mode, raw=raw)
-    emit = make_emit(jobs, "distributed")  # bucket-tag for either merge
+    emit = make_emit(jobs, "distributed")
     part_dir = os.path.join(work_dir, "partials")
     os.makedirs(part_dir, exist_ok=True)
     manifest = completed_analysis_partitions(work_dir)
@@ -689,14 +684,11 @@ def run_full_analysis_resumable(paths, work_dir: str, *,
             continue
         cds = classify(load_events([p]), redact=redact,
                        filter_config=filter_config, ns_filter=ns_filter)
-        rows = cds.map_batches(emit, batch_format="pyarrow",
-                               batch_size=32768,
-                               zero_copy_batch=True).to_pandas()
-        tbl = pa.table({
-            "sink": pa.array(rows["sink"].astype(str), pa.string()),
-            "bucket": pa.array(rows["bucket"].to_numpy(), pa.int64()),
-            "payload": pa.array(list(rows["payload"]), pa.binary()),
-        })
+        tbl = pa.concat_tables([_PARTIALS_SCHEMA.empty_table()] + [
+            t.cast(_PARTIALS_SCHEMA) for t in cds.map_batches(
+                emit, batch_format="pyarrow", batch_size=32768,
+                zero_copy_batch=True).iter_batches(
+                    batch_size=None, batch_format="pyarrow")])
         tmp = os.path.join(part_dir, f"{pid}.parquet.tmp-{os.getpid()}")
         pq.write_table(tbl, tmp)
         os.replace(tmp, os.path.join(part_dir, f"{pid}.parquet"))
@@ -718,11 +710,8 @@ def run_full_analysis_resumable(paths, work_dir: str, *,
         raise RuntimeError(
             f"resumable analysis: {len(missing)} committed partition(s) "
             f"missing partials, e.g. {missing[0]}")
-    if merge == "distributed":
-        return merge_payload_ds(rd.read_parquet(files), jobs)
-    frames = [pq.read_table(f).to_pandas() for f in files]
-    rows = (pd.concat(frames, ignore_index=True) if frames
-            else pd.DataFrame({"sink": pd.Series(dtype="string"),
-                               "bucket": pd.Series(dtype="int64"),
-                               "payload": pd.Series(dtype=object)}))
-    return merge_payload_rows(rows, jobs)
+    # one block per file in file order (a parquet read yields blocks as
+    # they finish), so every run emits the groups in the same order
+    read = ray.remote(pq.read_table)
+    return merge_payloads(
+        rd.from_arrow_refs([read.remote(f) for f in files]), jobs)

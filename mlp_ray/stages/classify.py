@@ -139,6 +139,9 @@ def _classify_ref(batch: pa.Table) -> pa.Table:
     r_ignored = pre_ign
     ignored_category = batch["pre_ignored_category"]
 
+    # malformed lines (non_json / too_long / bad_json) are counted, not
+    # dropped (LogParser.java:972-999): they route to the ignored sink
+    # under a parse_<status> category and leave every event sink
     st = batch["parse_status"]
     ok = _b(pc.equal(st, "ok"))
     bad = pc.invert(ok)
@@ -264,28 +267,6 @@ def classify_batch(batch: pa.Table) -> pa.Table:
         ],
         pa.scalar(None, pa.string()),
     )
-
-    # Raw-log ingestion carries a parse_status column: malformed lines
-    # (non_json / too_long / bad_json) are NOT silently dropped — the
-    # reference counts and samples them (LogParser.java:972-999) — they
-    # route to the ignored sink under a parse_<status> category and are
-    # excluded from every event sink (a bad_json line whose envelope
-    # regex still matched could otherwise classify as write_unknown).
-    if "parse_status" in batch.column_names:
-        st = batch["parse_status"]
-        ok = _b(pc.equal(st, "ok"))
-        bad = pc.invert(ok)
-        op = pc.if_else(ok, op, pa.scalar(None, pa.string()))
-        r_ops = pc.and_(r_ops, ok)
-        is_txn = pc.and_(is_txn, ok)
-        is_conn = pc.and_(is_conn, ok)
-        r_error = pc.and_(r_error, ok)
-        r_ignored = pc.or_(r_ignored, bad)
-        ignored_category = pc.if_else(
-            bad,
-            pc.binary_join_element_wise(
-                pa.scalar("parse_"), pc.fill_null(st, "unknown"), ""),
-            ignored_category)
 
     return (
         batch.append_column("op", op)

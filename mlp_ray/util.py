@@ -51,7 +51,7 @@ def merge_partials(partials_ds, keys: list[str], sum_cols: list[str], *,
     - ``merge="driver"``: collect the partials (#blocks × #keys rows —
       use ONLY for bounded key spaces: brands, nations, labels, hours)
       and reduce with one in-process groupby, exactly like
-      ``run_fold``'s driver merge.
+      the fold's driver merge (``aggs.multifold``).
     - ``merge="bucketed"``: hash-bucketed exchange
       (``bucketed_groups``) — each bucket owns whole keys, per-bucket
       sums are disjoint and concatenate exactly; use when the key

@@ -41,6 +41,35 @@ def test_analyze_raw_logs(tmp_path):
     assert rep["operationTypeStats"]["total"] > 0
 
 
+def test_analyze_raw_logs_uses_raw_contract(tmp_path):
+    """`analyze --raw-logs` folds with the reference-exact raw contract:
+    its main_ops / op_stats / ttl CSVs equal ``run_full_analysis(...,
+    raw=True)`` over the same parsed logs."""
+    import io
+
+    import pandas as pd
+
+    from mlp_ray.pipelines import analyze
+    from mlp_ray.sources import rawlog
+
+    logs = rawlog.write_raw_log_fixture(str(tmp_path / "logs"), 2000,
+                                        seed=5, n_shards=2)
+    out = str(tmp_path / "rep")
+    p = _run("analyze", *logs, "--raw-logs", "--out", out)
+    assert p.returncode == 0, p.stderr[-2000:]
+    parsed = rawlog.read_raw_logs(logs).map_batches(
+        rawlog.parse_batch, batch_format="pyarrow")
+    exp = analyze.run_full_analysis(None, ds=parsed, raw=True)
+    for name, keys in (("main_ops", ["ns", "op", "app_name"]),
+                       ("op_stats", ["op"]), ("ttl", ["ns"])):
+        got = pd.read_csv(os.path.join(out, f"{name}.csv"))
+        want = pd.read_csv(io.StringIO(exp[name].to_csv(index=False)))
+        assert len(want), name
+        pd.testing.assert_frame_equal(
+            got.sort_values(keys, ignore_index=True),
+            want.sort_values(keys, ignore_index=True), obj=name)
+
+
 def test_redact_cli_roundtrip(tmp_path):
     """`redact` rewrites log files through the preserve-path walk:
     output parses as JSONL, envelope/metrics survive, filter values do

@@ -10,6 +10,8 @@ import pytest
 
 from mlp_ray.aggs.fold import FoldSpec, fold_frame, ordered_group_by
 
+from .util import spy_exchange
+
 SPEC = dict(
     keys=["k1", "k2"],
     metrics={"val": ("count", "sum", "min", "max", "avg", "p95")},
@@ -87,6 +89,37 @@ def test_run_fold_over_empty_dataset_is_typed(ray_session, merge):
     assert len(out) == 0
     assert out.columns.tolist() == full.columns.tolist()
     assert out.dtypes.to_dict() == full.dtypes.to_dict()
+
+
+@pytest.mark.parametrize("p95_mode", ["exact", "sketch"])
+def test_fold_frame_merge_paths_agree(ray_session, monkeypatch, p95_mode):
+    """The driver merge, the (sink, bucket) exchange and the salted
+    two-level exchange give the same fold over a multi-block Dataset
+    with every FoldSpec feature."""
+    import ray.data as rd
+
+    import mlp_ray.aggs.multifold as mf
+
+    spec = FoldSpec(**SPEC, p95_mode=p95_mode)
+    ds = rd.from_arrow([_table(400, seed) for seed in range(6)])
+    calls = spy_exchange(monkeypatch)
+    kw = dict(batch_size=300, num_buckets=4)
+
+    def run(**extra):
+        calls.clear()
+        out = fold_frame(ds, spec, **kw, **extra)
+        return out.sort_values(spec.keys, ignore_index=True), list(calls)
+
+    driver, c = run(merge="driver")
+    assert c == [] and len(driver) == 8  # k1 ∈ {a, b, c, null} × k2
+    with monkeypatch.context() as m:
+        m.setattr(mf, "PAYLOAD_DRIVER_MAX_BYTES", 0)
+        exchange, c = run(merge="distributed")
+    assert c == ["ds"]
+    salted, c = run(salt=4)
+    assert c == ["ds"]
+    pd.testing.assert_frame_equal(exchange, driver, check_exact=True)
+    pd.testing.assert_frame_equal(salted, driver, check_exact=True)
 
 
 def test_empty_batch_partial_merges_with_nonempty_ones():

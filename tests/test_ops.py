@@ -194,13 +194,19 @@ def test_p95_sketch_close_to_exact(fixture_paths, ray_session):
 
 
 def test_salted_two_level_fold_equals_single_level(fixture_paths,
-                                                   ray_session):
+                                                   ray_session,
+                                                   monkeypatch):
     """salt>1 (first-level combine on hash(key, salt)) must be a pure
     physical optimization: identical results to the single-level fold
-    on a full-featured spec (metrics, p95, first/last, sample, maps)."""
+    on a full-featured spec (metrics, p95, first/last, sample, maps).
+    The salted runs must really go through the exchange."""
     import ray.data as rd
     import pandas as pd
     from mlp_ray.aggs.fold import FoldSpec, run_fold
+
+    from .util import spy_exchange
+
+    exchanges = spy_exchange(monkeypatch)
 
     ds = rd.read_parquet(fixture_paths,
                          columns=["doc_id", "ns", "op_kind", "app_name",
@@ -216,8 +222,10 @@ def test_salted_two_level_fold_equals_single_level(fixture_paths,
     )
     base = run_fold(ds, spec).to_pandas().sort_values("ns") \
         .reset_index(drop=True)
+    exchanges.clear()
     salted = run_fold(ds, spec, salt=8).to_pandas().sort_values("ns") \
         .reset_index(drop=True)
+    assert exchanges == ["ds"]
     pd.testing.assert_frame_equal(base, salted, check_like=True)
 
     # sketch mode too (the bounded-state pairing recommended at scale)
@@ -225,8 +233,10 @@ def test_salted_two_level_fold_equals_single_level(fixture_paths,
                        p95_mode="sketch")
     b2 = run_fold(ds, spec_sk).to_pandas().sort_values("ns") \
         .reset_index(drop=True)
+    exchanges.clear()
     s2 = run_fold(ds, spec_sk, salt=8).to_pandas().sort_values("ns") \
         .reset_index(drop=True)
+    assert exchanges == ["ds"]
     pd.testing.assert_frame_equal(b2, s2, check_like=True)
 
 

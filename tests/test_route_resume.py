@@ -241,19 +241,22 @@ def test_analyze_kill_resume(fixture_paths, tmp_path, monkeypatch):
         pd.testing.assert_frame_equal(_norm(res2[k]), _norm(clean[k]))
 
 
-def test_analyze_resumable_distributed_merge(fixture_paths, tmp_path):
+def test_analyze_resumable_distributed_merge(fixture_paths, tmp_path,
+                                             monkeypatch):
     """The persisted partials support the (sink, bucket) distributed
-    merge too — same tables as the driver merge from the same files."""
+    merge too — same tables as the driver merge from the same files
+    (a zero payload gate forces the exchange)."""
     import pandas as pd
 
+    import mlp_ray.aggs.multifold as mf
     from mlp_ray.pipelines import analyze
 
     wd = str(tmp_path / "ck2")
     a = analyze.run_full_analysis_resumable(fixture_paths, wd,
                                             p95_mode="sketch")
+    monkeypatch.setattr(mf, "PAYLOAD_DRIVER_MAX_BYTES", 0)
     b = analyze.run_full_analysis_resumable(fixture_paths, wd,
-                                            p95_mode="sketch",
-                                            merge="distributed")
+                                            p95_mode="sketch")
     assert set(a) == set(b)
     for k in a:
         pd.testing.assert_frame_equal(_norm(a[k]), _norm(b[k]))

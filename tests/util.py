@@ -1,4 +1,5 @@
-"""Order-insensitive DataFrame comparison for golden tests."""
+"""Shared test helpers: order-insensitive DataFrame comparison for
+golden tests, and a spy on the multifold exchange."""
 
 from __future__ import annotations
 
@@ -43,3 +44,15 @@ def assert_frames_match(actual: pd.DataFrame, expected: pd.DataFrame,
                 f"column {c!r} mismatch at rows {bad}:\n"
                 f"actual={av.iloc[bad].tolist()}\nexpected={ev.iloc[bad].tolist()}\n"
                 f"keys={a[key_cols].iloc[bad].to_dict('records')}")
+
+
+def spy_exchange(monkeypatch) -> list:
+    """Record "ds" for every (sink, bucket) exchange multifold runs."""
+    import mlp_ray.aggs.multifold as mf
+
+    calls = []
+    orig = mf.merge_payload_ds
+    monkeypatch.setattr(mf, "merge_payload_ds",
+                        lambda p, jobs: (calls.append("ds"),
+                                         orig(p, jobs))[1])
+    return calls
