@@ -9,14 +9,26 @@ This module provides the same front door for the Ray engine:
     → map_batches(parse_batch)  → the classified-event schema
     → …rest of the pipeline unchanged (classify → route → sinks)
 
-Parse strategy mirrors the reference's two-tier design:
-  * vectorized fast paths over the raw byte column for the envelope —
-    timestamp (``extractTimestampFast`` LogParser.java:1313-1332), ctx
-    (``extractCtxFast`` :1300-1311), component, msg — via
-    ``pc.extract_regex`` (no Python row loop);
-  * full ``json.loads`` only for rows whose msg carries attr payload
-    (Slow query / transaction / metadata / auth / lifecycle / TTL),
-    like ``containsTargetOperation``'s pre-filter (:926-932);
+Parse strategy mirrors the reference's two-tier design, with each tier
+spending its per-line cost only where the reference needs it:
+  * the envelope — timestamp (``extractTimestampFast``
+    LogParser.java:1313-1332), ctx (``extractCtxFast`` :1300-1311),
+    component, msg — comes from one ``pc.extract_regex`` per field;
+  * every line-level decision is one RE2 pass over the batch: the
+    ignore whitelist's OR terms, the blacklist, the error sniff, the
+    branch sniff.  The AND decisions (the whitelist's ACCESS-auth and
+    NETWORK-lifecycle terms, the TTL hook) scan for a cheap superset
+    and finish with substring tests on the flagged lines only, and the
+    ignore category is looked up on the ignored lines only;
+  * a full JSON parse only for lines whose msg or sniffs say they carry
+    sink-relevant attrs, like ``containsTargetOperation``'s pre-filter
+    (:926-932).  ``orjson`` parses; ``json`` decides what orjson rejects
+    (NaN, Infinity, lone surrogates) or would round (a 19+ digit run);
+  * per line, Python runs only what needs the whole document: the
+    branch dispatch, the error-code accumulation, readPreference,
+    command shape and the filter's ``json.dumps``.  Typed attr fields
+    are projected column-wise, one pass per column over the lines of
+    the sink group that reads them;
   * non-JSON lines are kept and tagged ``parse_status="non_json"``
     (the reference counts, samples and reports them — :972-999);
     over-long lines are tagged ``too_long`` and their payload dropped
@@ -28,6 +40,7 @@ from the file path into ``source`` (J2 enrichment).
 
 from __future__ import annotations
 
+import functools
 import gzip
 import hashlib
 import json
@@ -60,20 +73,28 @@ _TARGET_OP_KEYS = ("find", "aggregate", "update", "insert", "delete",
 _TARGET_OP_RE = "|".join(re.escape(f'"{k}":') for k in _TARGET_OP_KEYS)
 
 # categorizeIgnoredLine (LogParser.java:985-999): first-match raw-line
-# substring → category, evaluated over every driver-ignored line.
-_IGNORE_CATEGORIES: list[tuple[str, str]] = [
-    ('"c":"NETWORK"', "NETWORK"),
-    ('"c":"ACCESS"', "ACCESS"),
-    ('"c":"STORAGE"', "STORAGE"),
-    ('"c":"CONTROL"', "CONTROL"),
-    ('"hello":1|"isMaster":1', "HEALTH_CHECK"),
-    ('"replSetHeartbeat"', "REPLICATION"),
-    ('"\\$db":"admin"', "ADMIN_DB"),
-    ('"\\$db":"local"', "LOCAL_DB"),
-    ('"\\$db":"config"', "CONFIG_DB"),
-    ('"profile":', "PROFILING"),
-    ("TTL", "TTL_MONITOR"),
+# substrings → category, evaluated over every driver-ignored line.
+_IGNORE_CATEGORIES: list[tuple[tuple[str, ...], str]] = [
+    (('"c":"NETWORK"',), "NETWORK"),
+    (('"c":"ACCESS"',), "ACCESS"),
+    (('"c":"STORAGE"',), "STORAGE"),
+    (('"c":"CONTROL"',), "CONTROL"),
+    (('"hello":1', '"isMaster":1'), "HEALTH_CHECK"),
+    (('"replSetHeartbeat"',), "REPLICATION"),
+    (('"$db":"admin"',), "ADMIN_DB"),
+    (('"$db":"local"',), "LOCAL_DB"),
+    (('"$db":"config"',), "CONFIG_DB"),
+    (('"profile":',), "PROFILING"),
+    (("TTL",), "TTL_MONITOR"),
 ]
+
+
+def _ignore_category(line: str) -> str:
+    for keys, cat in _IGNORE_CATEGORIES:
+        for k in keys:
+            if k in line:
+                return cat
+    return "OTHER"
 
 
 _GZIP_MAGIC = b"\x1f\x8b"
@@ -140,6 +161,25 @@ def _zip_lines(row: dict) -> list[dict]:
     return out
 
 
+def _text_files(paths: list[str], codec: str | None):
+    """(text, path) rows of whole files, one block per file.  The
+    stream is decompressed with ``codec`` — the sniffed content, not
+    the extension (Ray's ``read_text`` would gunzip a plain file named
+    ``.gz``) — and decoded the way ``_zip_lines`` does: an invalid
+    UTF-8 byte becomes U+FFFD and its line is counted, never raised."""
+    from ray.data.datasource import FileBasedDatasource
+
+    class LogText(FileBasedDatasource):
+        def _open_input_source(self, filesystem, path, **open_args):
+            return filesystem.open_input_stream(path, compression=codec)
+
+        def _read_stream(self, f, path):
+            lines = f.readall().decode("utf-8", errors="replace").splitlines()
+            yield pa.table({"text": pa.array(lines, pa.string())})
+
+    return LogText(paths, include_paths=True)
+
+
 def read_raw_logs(paths, *, override_num_blocks=None):
     """Dataset of raw lines with their file path; gzip/zip detected by
     content sniffing (magic bytes, MimeTypes.java:34-41) with an
@@ -148,46 +188,14 @@ def read_raw_logs(paths, *, override_num_blocks=None):
 
     paths = [paths] if isinstance(paths, str) else list(paths)
     kinds = {p: _content_kind(p) for p in paths}
-    zips = [p for p in paths if kinds[p] == "zip"]
-    gzs = [p for p in paths if kinds[p] == "gzip"]
-
-    def _ext_implies_codec(p: str) -> bool:
-        try:
-            pa.Codec.detect(p)
-            return True
-        except (ValueError, TypeError):
-            return False
-
-    # Ray's read_text ALWAYS infers a codec from the extension when
-    # none is given, so a plain-text file misnamed .gz would be
-    # gunzip-crashed — those go through a whole-file binary read
-    plain = [p for p in paths
-             if kinds[p] == "plain" and not _ext_implies_codec(p)]
-    plain_mislabeled = [p for p in paths
-                        if kinds[p] == "plain" and _ext_implies_codec(p)]
     parts = []
-    if plain:
-        parts.append(rd.read_text(
-            plain, include_paths=True,
-            override_num_blocks=override_num_blocks))
-    if plain_mislabeled:
-        # read_binary_files ALSO gunzips by extension — read these few
-        # odd files with plain open() inside a task (one task per file;
-        # the sniff already proved them locally readable)
-        def _plain_file_lines(row: dict) -> list[dict]:
-            with open(row["item"], "rb") as fh:
-                data = fh.read()
-            return [{"text": line, "path": row["item"]}
-                    for line in data.decode("utf-8",
-                                            errors="replace").splitlines()]
-
-        parts.append(rd.from_items(plain_mislabeled)
-                     .flat_map(_plain_file_lines))
-    if gzs:
-        parts.append(rd.read_text(
-            gzs, include_paths=True,
-            arrow_open_stream_args={"compression": "gzip"},
-            override_num_blocks=override_num_blocks))
+    for kind, codec in (("plain", None), ("gzip", "gzip")):
+        files = [p for p in paths if kinds[p] == kind]
+        if files:
+            parts.append(rd.read_datasource(
+                _text_files(files, codec),
+                override_num_blocks=override_num_blocks))
+    zips = [p for p in paths if kinds[p] == "zip"]
     if zips:
         parts.append(rd.read_binary_files(zips, include_paths=True)
                      .flat_map(_zip_lines))
@@ -211,263 +219,453 @@ _ENVELOPE_RES = {
     "msg": r'"msg":"(?P<g>[^"]*)"',
 }
 
+# one alternation per line-level decision (shouldIgnoreLine's whitelist
+# OR terms, the error and branch sniffs): a single RE2 scan of the
+# batch each, instead of one scan per substring.  The two AND decisions
+# (whitelist auth / conn-lifecycle terms, TTL hook) scan for a cheap
+# superset — RE2 skips ahead fastest on a pattern that does not start
+# with '"' — and finish with exact substring tests on the flagged lines.
+_WHITELIST_ANY_RE = _TARGET_OP_RE + '|"msg":"client metadata"'
+_AUTH_NET_PREFILTER = 'c":"(?:ACCESS|NETWORK)"'
+_ERR_SNIFF_RE = '"ok":0|"error":'
+_BRANCH_SNIFF_RE = '"c":"(?:INDEX|WRITE)"|"command":'
+# orjson turns integer literals outside [-2**63, 2**64) into floats
+# where json keeps exact ints: lines with a 19+ digit run use json
+_LONG_DIGITS_RE = r"\d{19}"
+_DETAIL_MSG_SET = pa.array(sorted(_DETAIL_MSGS), pa.string())
+
+# attr keys read per line into a column group's row tuple (one
+# dict.get pass over the key tuple), transposed once per batch
+_OP_KEYS = ("appName", "queryHash", "planCacheKey", "planSummary",
+            "replanReason", "planningTimeMicros", "keysExamined",
+            "docsExamined", "nreturned", "nReturned", "reslen",
+            "writeConflicts", "nShards", "nModified", "nUpserted",
+            "ndeleted", "nDeleted", "ninserted", "nInserted")
+_TXN_KEYS = ("terminationCause", "commitType", "commitDurationMicros",
+             "timeActiveMicros", "timeInactiveMicros")
+_AUTH_KEYS = ("user", "db", "mechanism")
+_EMPTY: dict = {}
+# json.dumps(flt, sort_keys=True, separators=(",", ":")) without
+# building an encoder per call; the bytes are the redaction contract
+_FILTER_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _whole(col: pa.ChunkedArray | pa.Array) -> pa.Array:
+    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+
 
 def _extract(col: pa.ChunkedArray | pa.Array, pattern: str) -> pa.Array:
-    ext = pc.extract_regex(col, pattern)  # null where no match
-    arr = ext.combine_chunks() if isinstance(ext, pa.ChunkedArray) else ext
-    return pc.struct_field(arr, ["g"])
+    # null where no match
+    return pc.struct_field(_whole(pc.extract_regex(col, pattern)), ["g"])
 
 
-def _get_metric(attr: dict, *keys):
-    for k in keys:
-        v = attr.get(k)
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            return int(v)
-    return None
+def _np(mask) -> np.ndarray:
+    return pc.fill_null(mask, False).to_numpy(zero_copy_only=False)
+
+
+def _hits(col, pattern: str) -> np.ndarray:
+    return _np(pc.match_substring_regex(col, pattern))
+
+
+def _ints(vals) -> list:
+    """A metric column: JSON ints and floats become int; bool,
+    strings, containers and missing values become None."""
+    return [v if type(v) is int else int(v) if type(v) is float else None
+            for v in vals]
+
+
+def _first(a: list, b: list) -> list:
+    return [x if x is not None else y for x, y in zip(a, b)]
+
+
+def _loads(text: str, long_digits: bool, fast):
+    """orjson, with ``json`` as the authority for what it rejects
+    (NaN/Infinity, lone surrogates) or would round (huge integers)."""
+    if not long_digits:
+        try:
+            return fast(text)
+        except ValueError:
+            pass
+    return json.loads(text)
+
+
+class _Group:
+    """Rows of one batch that feed one set of columns, with their
+    source objects: ``add((row, obj))`` while parsing, then ``put``
+    scatters each projected column back to batch rows (coalescing
+    with a column an earlier, disjoint group already filled)."""
+
+    def __init__(self):
+        self.items: list[tuple[int, object]] = []
+        self.add = self.items.append
+
+    @functools.cached_property
+    def src(self) -> list:
+        return [o for _, o in self.items]
+
+    def put(self, out: dict, n: int, cols: dict) -> None:
+        if not self.items:
+            return
+        # take-indices: the k-th value lands on the k-th row, null elsewhere
+        pos = np.full(n, -1, np.int64)
+        pos[[r for r, _ in self.items]] = np.arange(len(self.items))
+        idx = pa.array(pos, mask=pos < 0)
+        for name, (vals, typ) in cols.items():
+            col = pa.array(vals, typ).take(idx)
+            out[name] = pc.coalesce(out[name], col) if name in out else col
 
 
 def parse_batch(batch: pa.Table) -> pa.Table:
-    """One vectorized pass (envelope) + targeted full parse (attrs).
+    """One vectorized pass (envelope, line decisions) + targeted full
+    parse (attrs), projected column-wise.
 
     Output: the events-tok schema minus tokens/n_tok (null-filled) plus
     ``parse_status`` ∈ {ok, non_json, too_long, bad_json}."""
-    text = batch["text"]
-    text = text.combine_chunks() if isinstance(text, pa.ChunkedArray) else text
+    text = _whole(batch["text"])
     n = len(text)
-    paths = (batch["path"].to_pylist() if "path" in batch.column_names
-             else [""] * n)
+    path_arr = (_whole(pc.cast(batch["path"], pa.string()))
+                if "path" in batch.column_names
+                else pa.array([""] * n, pa.string()))
+    text_py = text.to_pylist()
 
     # S3: 1 MB cap — payload dropped, line counted
-    too_long = pc.greater(pc.binary_length(text), MAX_LINE_BYTES)
+    tl = _np(pc.greater(pc.binary_length(text), MAX_LINE_BYTES))
     # F1: fast non-JSON prefilter (shouldIgnoreLine LogParser.java:896)
-    is_json = pc.starts_with(text, "{")
-    parse_mask = pc.and_(pc.invert(too_long), is_json)
-
-    safe = pc.if_else(parse_mask, text, pa.scalar("", pa.string()))
+    ij = _np(pc.starts_with(text, "{"))
+    parse_ok = ij & ~tl
+    # every sniff below runs over `safe`, so it is False off parse_ok
+    safe = pc.if_else(pa.array(parse_ok), text, pa.scalar("", pa.string()))
     env = {k: _extract(safe, p) for k, p in _ENVELOPE_RES.items()}
     msg_py = env["msg"].to_pylist()
-
-    # --- shouldIgnoreLine (LogParser.java:896-924), vectorized over
-    # the RAW line before any JSON work: never-drop whitelists (target
-    # ops, client metadata, ACCESS auth, NETWORK conn lifecycle) win
-    # over the configurable substring blacklist (FilterConfig defaults).
-    def _has(pat: str):
-        return pc.fill_null(pc.match_substring(safe, pat), False)
-
-    whitelisted = pc.or_(
-        pc.or_(pc.fill_null(pc.match_substring_regex(safe, _TARGET_OP_RE),
-                            False),
-               _has('"msg":"client metadata"')),
-        pc.or_(pc.and_(_has('"c":"ACCESS"'),
-                       _has('"msg":"Successfully authenticated"')),
-               pc.and_(_has('"c":"NETWORK"'),
-                       pc.or_(_has('"msg":"Connection accepted"'),
-                              _has('"msg":"Connection ended"')))))
-    blacklisted = _default_filter_config().should_ignore_mask(safe)
-    pre_ign_arr = pc.or_(
-        pc.and_(parse_mask, pc.and_(pc.invert(whitelisted), blacklisted)),
-        pc.and_(pc.invert(too_long), pc.invert(is_json)))
-    # categorizeIgnoredLine (LogParser.java:985-999): first-match
-    # substring over the raw line; non-JSON tail default
-    cat_conds = [(pc.and_(pre_ign_arr,
-                          pc.fill_null(pc.match_substring_regex(safe, pat),
-                                       False)),
-                  pa.scalar(c, pa.string()))
-                 for pat, c in _IGNORE_CATEGORIES]
-    cat_conds.append((pc.and_(pre_ign_arr, pc.invert(is_json)),
-                      pa.scalar("NON_JSON", pa.string())))
-    cat_conds.append((pre_ign_arr, pa.scalar("OTHER", pa.string())))
-    pre_cat_arr = pc.case_when(pc.make_struct(*[c for c, _ in cat_conds]),
-                               *[v for _, v in cat_conds],
-                               pa.scalar(None, pa.string()))
+    pre_ign, pre_cat = _ignore_decision(safe, text_py, parse_ok, ~ij & ~tl)
 
     # driver-thread TTL hook (isTtlOperation LogParser.java:934-936):
     # fires BEFORE the ignore filter, so TTLMonitor lines feed the TTL
     # table even though the blacklist drops them from everything else
-    ttl_hook_arr = pc.and_(parse_mask, pc.and_(
-        _has("TTL"),
-        pc.or_(_has("deleted"), _has("Deleted expired documents"))))
-
+    ttl_hook = _hits(safe, "TTL")
+    for r in np.flatnonzero(ttl_hook).tolist():
+        t = text_py[r]
+        ttl_hook[r] = "deleted" in t or "Deleted expired documents" in t
     # full parse where the line can carry sink-relevant attrs: detail
-    # msgs, the vectorized error sniff (isError must fire on ANY
-    # non-ignored line, LogParserTask.java:563-579), the op-classifier
-    # branches (INDEX / WRITE / command document), and TTL-hook rows
-    err_sniff = pc.or_(pc.match_substring(safe, '"ok":0'),
-                       pc.match_substring(safe, '"error":')).to_pylist()
-    branch_sniff = pc.or_(
-        pc.or_(_has('"c":"INDEX"'), _has('"c":"WRITE"')),
-        _has('"command":')).to_pylist()
-    pre_ign = pre_ign_arr.to_pylist()
-    ttl_hook = ttl_hook_arr.to_pylist()
-    need_full = [(not ig and (m in _DETAIL_MSGS or b)) or e or th
-                 for m, e, b, ig, th in zip(msg_py, err_sniff, branch_sniff,
-                                            pre_ign, ttl_hook)]
+    # msgs, the error sniff (isError must fire on ANY non-ignored line,
+    # LogParserTask.java:563-579), the op-classifier branches (INDEX /
+    # WRITE / command document), and TTL-hook rows
+    detail = _np(pc.is_in(env["msg"], value_set=_DETAIL_MSG_SET))
+    need_full = parse_ok & (
+        (~pre_ign & (detail | _hits(safe, _BRANCH_SNIFF_RE)))
+        | _hits(safe, _ERR_SNIFF_RE) | ttl_hook)
 
-    cols: dict[str, list] = {c: [None] * n for c in (
-        "ns", "op_kind", "app_name", "duration_ms", "plan_summary",
-        "query_hash", "plan_cache_key", "planning_time_us", "keys_examined",
-        "docs_examined", "n_returned", "reslen", "bytes_read",
-        "bytes_written", "write_conflicts", "n_shards", "n_modified",
-        "n_upserted", "n_deleted", "n_inserted", "replanned",
-        "replan_reason", "from_multi_planner", "read_pref_mode",
-        "read_pref_tags", "is_change_stream", "is_error", "err_code_name",
-        "err_code", "txn_retry_counter", "termination_cause", "commit_type",
-        "commit_us", "active_us", "inactive_us", "raw_filter_json",
-        "driver_name", "driver_version", "os_type", "platform",
-        "compressors", "username", "auth_db", "auth_mechanism",
-        "server_version", "remote",
-        # reference-branch classification signals (consumed by
-        # stages.classify's raw branch):
-        "attr_msg", "branch", "index_cat",
-        # the three independent error-code accumulations of
-        # processErrorCode (LogParserTask.java:1040-1112)
-        "err_name_obj", "err_name_ok", "err_code2",
-        # connection-lifecycle ctx override: real mongod logs emit
-        # "Connection accepted" under ctx="listener"; the reference
-        # keys the start event by "conn"+attr.connectionId
-        # (LogParserTask.java:1328-1330) — found by the real-corpus
-        # driver-stats self-golden (r4 verdict #4)
-        "ctx_conn",
-        # driver-thread TTL hook payload (LogParser.java:938-970)
-        "ttl_ns", "ttl_n_deleted")}
-    err_disc = [False] * n
-    status = ["ok"] * n
-    tl = too_long.to_pylist()
-    ij = is_json.to_pylist()
-    # Full-text materialization is IRREDUCIBLE here (r4 advice asked
-    # to to_pylist only the need_full survivors): doc_id below hashes
-    # every line's content, so every row needs its Python bytes
-    # regardless.  Measured (32.6k-line fixture corpus, profile in
-    # SURVEY §9): to_pylist + the blake2b loop are ~2.5% of
-    # parse_batch; the need_full JSON detail chain dominates because
-    # the whitelists keep most slow-query-corpus lines.  Documented
-    # no-op, not an oversight.
-    text_py = text.to_pylist()
+    status = np.full(n, "ok", dtype=object)
+    status[~ij] = "non_json"
+    status[tl] = "too_long"
+    groups = _parse_docs(text_py, msg_py, np.flatnonzero(need_full),
+                         _hits(safe, _LONG_DIGITS_RE), pre_ign, ttl_hook,
+                         status)
+    out = _project_groups(groups, n)
 
-    for r in range(n):
-        if tl[r]:
-            status[r] = "too_long"
-            continue
-        if not ij[r]:
-            status[r] = "non_json"
-            continue
-        if not need_full[r]:
-            continue
-        try:
-            doc = json.loads(text_py[r])
-        except ValueError:
-            # ignored lines are never JSON-parsed by the reference —
-            # only lines that reach a LogParserTask count parse errors
-            if not pre_ign[r]:
-                status[r] = "bad_json"
-            continue
-        attr = doc.get("attr") or {}
-        if ttl_hook[r] and isinstance(attr.get("namespace"), str):
-            # processTtlOperation (LogParser.java:938-970): driver-side,
-            # BEFORE the ignore filter — needs namespace
-            cols["ttl_ns"][r] = attr["namespace"]
-            cols["ttl_n_deleted"][r] = _get_metric(attr, "numDeleted")
-            if cols["duration_ms"][r] is None:
-                cols["duration_ms"][r] = _get_metric(attr, "durationMillis")
-        if msg_py[r] == "Connection accepted":
-            cid = attr.get("connectionId")
-            if _num(cid):
-                cols["ctx_conn"][r] = "conn%d" % int(cid)
-        if not pre_ign[r]:
-            err_disc[r] = _fill_row(cols, r, doc, attr, msg_py[r])
-        else:
-            # ignored lines never reach processErrorCode, but the
-            # per-component parse-audit views read the line-level
-            # isError flag over EVERY line — keep the legacy flag
-            # while the 3 accumulation columns stay null
-            _fill_errors(cols, r, doc, attr, accumulate=False)
-
-    out: dict[str, pa.Array] = {}
     # doc_id must be a pure function of (file, line content) so it is
     # identical across runs and parallelism levels (it is the
     # deterministic tie-break/order key downstream).  Byte-identical
     # duplicate lines in one file share an id — they are
     # indistinguishable rows, so ties resolve to the same value.
+    by_path = pc.dictionary_encode(path_arr)
+    path_keys = by_path.dictionary.to_pylist()
+    prefix = [p + "|" for p in path_keys]
     out["doc_id"] = pa.array(
-        ["raw" + hashlib.blake2b((p + "|" + t).encode(),
+        ["raw" + hashlib.blake2b((prefix[i] + t).encode(),
                                  digest_size=8).hexdigest()
-         for p, t in zip(paths, text_py)], pa.string())
-    out["tokens"] = pa.nulls(n, pa.list_(pa.int32()))
-    out["n_tok"] = pa.nulls(n, pa.int32())
-    out["source"] = pa.array([shard_from_path(p) for p in paths], pa.string())
+         for i, t in zip(by_path.indices.to_pylist(), text_py)],
+        pa.string())
+    # shard lineage: one lookup per distinct path
+    out["source"] = pa.array([shard_from_path(p) for p in path_keys],
+                             pa.string()).take(by_path.indices)
     out["component"] = env["component"]
     out["msg"] = env["msg"]
     # "Connection accepted" lines pair by "conn"+attr.connectionId
     # (the raw ctx is "listener" on real mongod logs) —
     # LogParserTask.java:1328-1330
-    out["ctx"] = pc.coalesce(pa.array(cols["ctx_conn"], pa.string()),
+    out["ctx"] = pc.coalesce(out.pop("ctx_conn", pa.nulls(n, pa.string())),
                              env["ctx"])
-    # Arrow strptime supports neither %z nor %f: parse the 19-char
-    # naive prefix, add fractional milliseconds extracted by regex
-    # (absent → 0), and SUBTRACT the UTC offset ("+05:30", "-0800" or
-    # "Z") so mongod logs written in local time land on the UTC axis.
-    sec = pc.strptime(pc.utf8_slice_codeunits(env["ts"], 0, 19),
+    out["ts"] = _parse_ts(env["ts"])
+
+    sch = S.events_tok_schema()
+    cols_out = {name: out[name] if name in out
+                else pa.nulls(n, sch.field(name).type)
+                for name in sch.names}
+    cols_out["parse_status"] = pa.array(status, pa.string())
+    # raw-path reference-semantics signals (classify's raw branch)
+    for name in ("attr_msg", "branch", "index_cat", "err_name_obj",
+                 "err_name_ok", "ttl_ns"):
+        cols_out[name] = out.get(name, pa.nulls(n, pa.string()))
+    for name in ("err_code2", "ttl_n_deleted"):
+        cols_out[name] = out.get(name, pa.nulls(n, pa.int64()))
+    cols_out["err_disconnect"] = pc.fill_null(
+        out.get("err_disconnect", pa.nulls(n, pa.bool_())), False)
+    cols_out["pre_ignored"] = pa.array(pre_ign)
+    cols_out["pre_ignored_category"] = pa.array(pre_cat, pa.string())
+    if "path" in batch.column_names:
+        # carried through for partition-keyed routing (route.py reads
+        # batch["path"] to derive the resume partition id)
+        cols_out["path"] = path_arr
+    return pa.table(cols_out)
+
+
+def _ignore_decision(safe, text_py, parse_ok, non_json):
+    """shouldIgnoreLine (LogParser.java:896-924) over the RAW line
+    before any JSON work: never-drop whitelists (target ops, client
+    metadata, ACCESS auth, NETWORK conn lifecycle) win over the
+    configurable substring blacklist (FilterConfig defaults).  Returns
+    the pre-ignored mask and categorizeIgnoredLine's category
+    (LogParser.java:985-999) of each ignored line."""
+    white = _hits(safe, _WHITELIST_ANY_RE)
+    # the AND terms, on the lines naming ACCESS or NETWORK
+    for r in np.flatnonzero(_hits(safe, _AUTH_NET_PREFILTER)
+                            & ~white).tolist():
+        t = text_py[r]
+        white[r] = (('"c":"ACCESS"' in t
+                     and '"msg":"Successfully authenticated"' in t)
+                    or ('"c":"NETWORK"' in t
+                        and ('"msg":"Connection accepted"' in t
+                             or '"msg":"Connection ended"' in t)))
+    # the blacklist only decides lines no whitelist term kept
+    cand = np.flatnonzero(parse_ok & ~white)
+    ign = np.array(non_json)
+    if len(cand):
+        ign[cand] = _np(_default_filter_config().should_ignore_mask(
+            safe.take(cand)))
+    # a non-JSON line matches no category before NON_JSON
+    cat = np.where(non_json, "NON_JSON", None)
+    for r in np.flatnonzero(ign & parse_ok).tolist():
+        cat[r] = _ignore_category(text_py[r])
+    return ign, cat
+
+
+_GROUPS = ("errs", "main", "dur", "ttl", "conn",
+           "txn", "meta", "auth", "op", "idx_ttl")
+
+
+def _parse_docs(text_py, msg_py, rows, long_digits, pre_ign, ttl_hook,
+                status) -> dict:
+    """JSON-parse the ``rows`` lines and run the per-line reference
+    logic that needs the whole document (TTL hook, connection id,
+    error accumulation, branch dispatch).  Each line adds one row tuple
+    of raw attr values to each column group it feeds, so no document
+    outlives its line.  Lines that fail to parse are marked
+    ``bad_json`` in ``status`` unless the ignore filter dropped them."""
+    import orjson  # loaded by the processes that parse, not at import
+
+    fast = orjson.loads
+    g = {name: _Group() for name in _GROUPS}
+    errs, main, dur, ttl, conn = (g[k].add for k in _GROUPS[:5])
+    ign_l, ttl_l, long_l = (m.tolist() for m in (pre_ign, ttl_hook,
+                                                 long_digits))
+    for r in rows.tolist():
+        try:
+            doc = _loads(text_py[r], long_l[r], fast)
+        except ValueError:
+            # ignored lines are never JSON-parsed by the reference —
+            # only lines that reach a LogParserTask count parse errors
+            if not ign_l[r]:
+                status[r] = "bad_json"
+            continue
+        attr = doc.get("attr") or {}
+        msg = msg_py[r]
+        ttl_row = ttl_l[r] and isinstance(attr.get("namespace"), str)
+        if ttl_row:
+            # processTtlOperation (LogParser.java:938-970): driver-side,
+            # BEFORE the ignore filter — needs namespace
+            ttl((r, (attr["namespace"], attr.get("numDeleted"))))
+        if msg == "Connection accepted":
+            cid = attr.get("connectionId")
+            if _num(cid):
+                conn((r, "conn%d" % int(cid)))
+        e = _errors(doc, attr)
+        if ign_l[r]:
+            # ignored lines never reach processErrorCode, but the
+            # per-component parse-audit views read the line-level
+            # isError flag over EVERY line — keep the legacy flag
+            # while the 3 accumulation columns stay null
+            if e is not _NO_ERROR:
+                errs((r, (None, None, None, *e[3:6], False)))
+            if ttl_row:
+                dur((r, attr.get("durationMillis")))
+            continue
+        if e is not _NO_ERROR:
+            errs((r, e))
+        dur((r, attr.get("durationMillis")))
+        ns, op_kind, branch, index_cat, group, cmd = _dispatch(
+            attr, doc.get("c"), msg)
+        main((r, (ns, op_kind, branch, index_cat, attr.get("remote"),
+                  attr.get("msg"))))
+        if group is not None:
+            g[group].add((r, _GROUP_ROWS[group](attr, cmd)))
+    return g
+
+
+def _txn_row(attr, cmd) -> tuple:
+    # processTransaction (LogParserTask.java:1117-1179)
+    return ((attr.get("parameters") or _EMPTY).get("txnRetryCounter"),
+            *map(attr.get, _TXN_KEYS))
+
+
+def _meta_row(attr, cmd) -> tuple:
+    # processClientMetadata (LogParserTask.java:1224-1315); server
+    # version from the mongos field (:1289-1296)
+    d = attr.get("doc") or _EMPTY
+    drv = d.get("driver") or _EMPTY
+    comps = attr.get("negotiatedCompressors")
+    return (drv.get("name"), drv.get("version"),
+            (d.get("os") or _EMPTY).get("type"), d.get("platform"),
+            (d.get("mongos") or _EMPTY).get("version"),
+            None if comps is None else ",".join(comps))
+
+
+def _op_row(attr, cmd) -> tuple:
+    """setCommonAttributes + extractPlanCacheInfo +
+    extractReadPreferenceAndFilter + extractReplanningInfo +
+    processExecutionStats + processStorageMetrics — the shared detail
+    extraction of the WRITE and COMMAND branches
+    (LogParserTask.java:215-222, 286-301): ``_OP_KEYS`` values, then
+    the storage metrics, the replanning flags and ``_op_shape``."""
+    # processStorageMetrics coalesce (LogParserTask.java:1015-1038):
+    # attr.storage.<k> when the key is there, else attr.storage.data.<k>
+    st = attr.get("storage")
+    st = st if type(st) is dict else _EMPTY
+    data = st.get("data")
+    data = data if type(data) is dict else _EMPTY
+    return (*map(attr.get, _OP_KEYS),
+            st["bytesRead"] if "bytesRead" in st else data.get("bytesRead"),
+            st["bytesWritten"] if "bytesWritten" in st
+            else data.get("bytesWritten"),
+            bool(attr["replanned"]) if "replanned" in attr else None,
+            bool(attr["fromMultiPlanner"]) if "fromMultiPlanner" in attr
+            else None,
+            *_op_shape(attr, cmd))
+
+
+_GROUP_ROWS = {
+    "txn": _txn_row,
+    "meta": _meta_row,
+    "auth": lambda attr, cmd: tuple(map(attr.get, _AUTH_KEYS)),
+    "op": _op_row,
+    "idx_ttl": lambda attr, cmd: (attr.get("numDeleted"),),
+}
+
+
+def _project_groups(g: dict, n: int) -> dict:
+    """Every attr-derived output column: each group's row tuples are
+    transposed once, typed a column at a time and scattered back to
+    batch rows."""
+    s, i64, b = pa.string(), pa.int64(), pa.bool_()
+    out: dict[str, pa.Array] = {}
+    if g["errs"].items:
+        g["errs"].put(out, n, {name: (col, typ) for (name, typ), col in
+                               zip(_ERR_COLS.items(), zip(*g["errs"].src))})
+    if g["main"].items:
+        ns, op_kind, branch, index_cat, remote, amsg = zip(*g["main"].src)
+        g["main"].put(out, n, {
+            "ns": (ns, s), "op_kind": (op_kind, s), "branch": (branch, s),
+            "index_cat": (index_cat, s), "remote": (remote, s),
+            "attr_msg": ([m if type(m) is str else None for m in amsg], s)})
+    g["dur"].put(out, n, {"duration_ms": (_ints(g["dur"].src), i64)})
+    if g["ttl"].items:
+        ttl_ns, ttl_deleted = zip(*g["ttl"].src)
+        g["ttl"].put(out, n, {"ttl_ns": (ttl_ns, s),
+                              "ttl_n_deleted": (_ints(ttl_deleted), i64)})
+    g["conn"].put(out, n, {"ctx_conn": (g["conn"].src, s)})
+    if g["txn"].items:
+        retry, cause, ctype, commit, active, inactive = zip(*g["txn"].src)
+        g["txn"].put(out, n, {
+            "txn_retry_counter": (_ints(retry), pa.int32()),
+            "termination_cause": (cause, s), "commit_type": (ctype, s),
+            "commit_us": (_ints(commit), i64),
+            "active_us": (_ints(active), i64),
+            "inactive_us": (_ints(inactive), i64)})
+    if g["meta"].items:
+        g["meta"].put(out, n, {name: (col, s) for name, col in zip(
+            ("driver_name", "driver_version", "os_type", "platform",
+             "server_version", "compressors"), zip(*g["meta"].src))})
+    if g["auth"].items:
+        g["auth"].put(out, n, {name: (col, s) for name, col in zip(
+            ("username", "auth_db", "auth_mechanism"),
+            zip(*g["auth"].src))})
+    if g["op"].items:
+        (app, qhash, pck, plan, reason, planning, keys, docs, nret_lc, nret,
+         reslen, conflicts, shards, modified, upserted, ndel_lc, ndel,
+         nins_lc, nins, bytes_read, bytes_written, replanned, multi_planner,
+         mode, tags, is_cs, flt) = zip(*g["op"].src)
+        g["op"].put(out, n, {
+            "app_name": (app, s), "query_hash": (qhash, s),
+            "plan_cache_key": (pck, s), "plan_summary": (plan, s),
+            "replan_reason": (reason, s),
+            "planning_time_us": (_ints(planning), i64),
+            "keys_examined": (_ints(keys), i64),
+            "docs_examined": (_ints(docs), i64),
+            "n_returned": (_first(_ints(nret_lc), _ints(nret)), i64),
+            "reslen": (_ints(reslen), i64),
+            "write_conflicts": (_ints(conflicts), i64),
+            "n_shards": (_ints(shards), i64),
+            "n_modified": (_ints(modified), i64),
+            "n_upserted": (_ints(upserted), i64),
+            "n_deleted": (_first(_ints(ndel_lc), _ints(ndel)), i64),
+            "n_inserted": (_first(_ints(nins_lc), _ints(nins)), i64),
+            "bytes_read": (_ints(bytes_read), i64),
+            "bytes_written": (_ints(bytes_written), i64),
+            "replanned": (replanned, b),
+            "from_multi_planner": (multi_planner, b),
+            "read_pref_mode": (mode, s), "read_pref_tags": (tags, s),
+            "is_change_stream": (is_cs, b), "raw_filter_json": (flt, s)})
+    # INDEX-branch TTL deletions: rows disjoint from the op rows above
+    g["idx_ttl"].put(out, n, {"n_deleted": (
+        _ints(v for v, in g["idx_ttl"].src), i64)})
+    return out
+
+
+def _parse_ts(ts: pa.Array) -> pa.Array:
+    """Arrow strptime supports neither %z nor %f: parse the 19-char
+    naive prefix, add fractional milliseconds extracted by regex
+    (absent → 0), and SUBTRACT the UTC offset ("+05:30", "-0800" or
+    "Z") so mongod logs written in local time land on the UTC axis."""
+    sec = pc.strptime(pc.utf8_slice_codeunits(ts, 0, 19),
                       format="%Y-%m-%dT%H:%M:%S", unit="ms",
                       error_is_null=True)
 
     def _re_int(pattern: str, default: int) -> pa.Array:
-        g = _extract(env["ts"], pattern)
+        g = _extract(ts, pattern)
         return pc.fill_null(pc.cast(g, pa.int64()), default)
 
     frac_ms = _re_int(r"\.(?P<g>\d{3})", 0)
     off_sign = pc.if_else(
-        pc.fill_null(pc.match_substring_regex(
-            env["ts"], r"-\d{2}:?\d{2}$"), False),
+        pc.fill_null(pc.match_substring_regex(ts, r"-\d{2}:?\d{2}$"), False),
         pa.scalar(-1, pa.int64()), pa.scalar(1, pa.int64()))
     off_h = _re_int(r"[+-](?P<g>\d{2}):?\d{2}$", 0)
     off_m = _re_int(r"[+-]\d{2}:?(?P<g>\d{2})$", 0)
     off_ms = pc.multiply(off_sign,
                          pc.multiply(pc.add(pc.multiply(off_h, 60), off_m),
                                      pa.scalar(60000, pa.int64())))
-    out["ts"] = pc.cast(
+    return pc.cast(
         pc.subtract(pc.add(pc.cast(sec, pa.int64()), frac_ms), off_ms),
         pa.timestamp("ms"))
-
-    sch = S.events_tok_schema()
-    for name in sch.names:
-        if name in out:
-            continue
-        typ = sch.field(name).type
-        vals = cols.get(name)
-        if vals is None:
-            out[name] = pa.nulls(n, typ)
-        else:
-            out[name] = pa.array(vals, typ)
-    cols_out = {name: out[name] for name in sch.names}
-    cols_out["parse_status"] = pa.array(status, pa.string())
-    # raw-path reference-semantics signals (classify's raw branch)
-    for name in ("attr_msg", "branch", "index_cat", "err_name_obj",
-                 "err_name_ok", "ttl_ns"):
-        cols_out[name] = pa.array(cols[name], pa.string())
-    for name in ("err_code2", "ttl_n_deleted"):
-        cols_out[name] = pa.array(cols[name], pa.int64())
-    cols_out["err_disconnect"] = pa.array(err_disc, pa.bool_())
-    cols_out["pre_ignored"] = pre_ign_arr
-    cols_out["pre_ignored_category"] = pre_cat_arr
-    if "path" in batch.column_names:
-        # carried through for partition-keyed routing (route.py reads
-        # batch["path"] to derive the resume partition id)
-        cols_out["path"] = pa.array(paths, pa.string())
-    return pa.table(cols_out)
 
 
 def _num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _fill_errors(cols, r, doc, attr, accumulate: bool = True) -> bool:
+def _errors(doc, attr) -> tuple:
     """processErrorCode (LogParserTask.java:1040-1112): up to THREE
     independent accumulations per line — explicit ``attr.error``
     object, top-level ``ok:0`` with errName / "Error<code>" synthesis,
     and the client-disconnect message — wrapped in ONE try/catch, so a
     type mismatch in an earlier section aborts the later ones (the
     reference's ``getJSONObject``/``getString``/``getInt`` throws).
-    Returns the disconnect flag."""
+
+    Returns ``_ERR_COLS``: the three accumulations, the legacy
+    single-accumulation view, the isError flag and the disconnect
+    flag."""
+    if "error" not in attr and "ok" not in attr \
+            and doc.get("msg") != _DISCONNECT_MSG:
+        return _NO_ERROR
     name_obj = name_ok = None
     code_obj = code_ok = None
     disc = False
@@ -511,17 +709,12 @@ def _fill_errors(cols, r, doc, attr, accumulate: bool = True) -> bool:
             disc = True
     except TypeError:
         pass
-    if accumulate:
-        cols["err_name_obj"][r] = name_obj
-        cols["err_name_ok"][r] = name_ok
-        cols["err_code2"][r] = code_ok
     # legacy single-accumulation view (synthetic-path contract):
     # primary = object > ok-synthesis > disconnect
-    cols["err_code_name"][r] = (
-        name_obj if name_obj is not None else
-        name_ok if name_ok is not None else
-        ("InterruptedByClientDisconnect" if disc else None))
-    cols["err_code"][r] = code_obj if name_obj is not None else code_ok
+    code_name = (name_obj if name_obj is not None else
+                 name_ok if name_ok is not None else
+                 ("InterruptedByClientDisconnect" if disc else None))
+    code = code_obj if name_obj is not None else code_ok
 
     # isError (LogParserTask.java:563-579) — its own try/catch → False
     is_err = False
@@ -535,223 +728,133 @@ def _fill_errors(cols, r, doc, attr, accumulate: bool = True) -> bool:
             is_err = True
     except TypeError:
         is_err = False
-    if is_err or disc:
-        cols["is_error"][r] = True
-    return disc
+    return (name_obj, name_ok, code_ok, code_name, code,
+            True if is_err or disc else None, disc)
 
 
-def _fill_op_details(cols, r, attr, cmd: dict):
-    """setCommonAttributes + extractPlanCacheInfo +
-    extractReadPreferenceAndFilter + extractReplanningInfo +
-    processExecutionStats + processStorageMetrics — the shared detail
-    extraction of the WRITE and COMMAND branches
-    (LogParserTask.java:215-222, 286-301)."""
-    cols["app_name"][r] = attr.get("appName")
-    cols["query_hash"][r] = attr.get("queryHash")
-    cols["plan_cache_key"][r] = attr.get("planCacheKey")
-    cols["plan_summary"][r] = attr.get("planSummary")
-    cols["planning_time_us"][r] = _get_metric(attr, "planningTimeMicros")
-    cols["keys_examined"][r] = _get_metric(attr, "keysExamined")
-    cols["docs_examined"][r] = _get_metric(attr, "docsExamined")
-    cols["n_returned"][r] = _get_metric(attr, "nreturned", "nReturned")
-    cols["reslen"][r] = _get_metric(attr, "reslen")
-    storage = attr.get("storage") or {}
-    data = storage.get("data") if isinstance(storage, dict) else None
-    data = data if isinstance(data, dict) else {}
-    storage = storage if isinstance(storage, dict) else {}
-    # processStorageMetrics coalesce (LogParserTask.java:1015-1038)
-    cols["bytes_read"][r] = _get_metric(storage, "bytesRead") \
-        if "bytesRead" in storage else _get_metric(data, "bytesRead")
-    cols["bytes_written"][r] = _get_metric(storage, "bytesWritten") \
-        if "bytesWritten" in storage else _get_metric(data, "bytesWritten")
-    cols["write_conflicts"][r] = _get_metric(attr, "writeConflicts")
-    cols["n_shards"][r] = _get_metric(attr, "nShards")
-    cols["n_modified"][r] = _get_metric(attr, "nModified")
-    cols["n_upserted"][r] = _get_metric(attr, "nUpserted")
-    cols["n_deleted"][r] = _get_metric(attr, "ndeleted", "nDeleted")
-    cols["n_inserted"][r] = _get_metric(attr, "ninserted", "nInserted")
-    if "replanned" in attr:
-        cols["replanned"][r] = bool(attr["replanned"])
-    cols["replan_reason"][r] = attr.get("replanReason")
-    if "fromMultiPlanner" in attr:
-        cols["from_multi_planner"][r] = bool(attr["fromMultiPlanner"])
+_NO_ERROR = (None,) * 6 + (False,)
+_ERR_COLS = {"err_name_obj": pa.string(), "err_name_ok": pa.string(),
+             "err_code2": pa.int64(), "err_code_name": pa.string(),
+             "err_code": pa.int32(), "is_error": pa.bool_(),
+             "err_disconnect": pa.bool_()}
 
-    def fmt_tags(tags):
-        # formatAllReadPreferenceTags (LogParserTask.java:585-627):
-        # "k: v" pairs joined by ", " within a tag document,
-        # tag documents joined by "<br>"; accepts a single object
-        if isinstance(tags, dict):
-            tags = [tags]
-        if not isinstance(tags, list):
-            return None
-        parts = [", ".join(f"{k}: {v}" for k, v in t.items())
-                 for t in tags if isinstance(t, dict)]
-        return "<br>".join(parts) if parts else None
 
-    def read_pref(container):
-        # $readPreference may be an object or a bare mode string
-        # (extractReadPreferenceAndFilter LogParserTask.java:452-467)
-        rp = container.get("$readPreference")
-        if isinstance(rp, str):
-            return rp, None
-        if isinstance(rp, dict):
-            return rp.get("mode"), fmt_tags(rp.get("tags"))
-        return None, None
+def _dispatch(attr, c, msg) -> tuple:
+    """One NON-ignored parsed line, reference task semantics
+    (LogParserTask.call() :76-356): the side extracts keyed on the
+    envelope msg (transaction / client metadata / auth short-circuit
+    the rest, :122-124), then the INDEX → WRITE → COMMAND branch
+    dispatch.  Returns ``(ns, op_kind, branch, index_cat, group,
+    cmd)``; ``group`` names the column group the line's attrs feed
+    and ``cmd`` is the command document of an op-detail line."""
+    ns = attr.get("ns") or attr.get("namespace")
+    if msg == "transaction":
+        return ns, None, "none", None, "txn", None
+    if msg == "client metadata":
+        return ns, None, "none", None, "meta", None
+    if msg == "Successfully authenticated":
+        return ns, None, "none", None, "auth", None
+    amsg = attr.get("msg")
+    amsg = amsg if isinstance(amsg, str) else None
+    if c == "INDEX":
+        # processIndexOperation (:720-778) dispatches on attr.msg —
+        # NOT the envelope msg; attr.msg is absent on most real INDEX
+        # lines, so they fold as index_maintenance / "command"
+        nsv = attr.get("namespace")
+        if amsg is not None and "Deleted expired documents" in amsg:
+            return (nsv if isinstance(nsv, str) else ns, None, "ttl_attr",
+                    None, "idx_ttl", None)
+        if isinstance(nsv, str):
+            cat = ("index_maintenance" if amsg is None else
+                   "index_build" if "Index build" in amsg else
+                   "index_drop" if "Index drop" in amsg else "index_other")
+            return nsv, None, "index", cat, None, None
+        # neither → fall through to the WRITE / COMMAND checks
+    cmd = attr.get("command")
+    if c == "WRITE" and "type" in attr:
+        # processWriteOperation (:955-981): requires attr.ns, else the
+        # line is consumed with no output (the dispatch is else-if)
+        if not isinstance(attr.get("ns"), str):
+            return ns, None, "dead", None, None, None
+        t = attr["type"]
+        return (attr["ns"], t if isinstance(t, str) else None, "write",
+                None, "op", cmd if isinstance(cmd, dict) else {})
+    if not isinstance(cmd, dict):
+        return ns, None, "none", None, None, None
+    if not isinstance(attr.get("ns"), str):
+        return ns, None, "dead", None, None, None  # noNs (:268-276)
+    # first-match over the reference's closed op set
+    # (processCommandOperation :802-919), else the first admin /
+    # _shardsv* key (processOtherOperations :921-943), else the first
+    # key (classifies to none)
+    opk = next((k for k in S.REF_COMMAND_OPS if k in cmd), None)
+    if opk is None:
+        opk = next((k for k in cmd
+                    if k.startswith("_shardsv") or k in S.ADMIN_OPS),
+                   next(iter(cmd), None))
+    # collection-name ns override (:804-918): the command value names
+    # the collection; getMore carries it in `collection`; aggregate "1"
+    # is a DATABASE-level aggregation and keeps the original namespace
+    ns = attr["ns"]
+    coll = cmd.get("collection") if opk == "getMore" \
+        else (cmd.get(opk) if opk in S.REF_COMMAND_OPS else None)
+    db = ns.split(".", 1)[0]
+    if db and isinstance(coll, str) and coll \
+            and not (opk == "aggregate" and coll == "1"):
+        ns = f"{db}.{coll}"
+    return ns, opk, "command", None, "op", cmd
 
-    cols["read_pref_mode"][r], cols["read_pref_tags"][r] = read_pref(cmd)
+
+def _fmt_tags(tags):
+    # formatAllReadPreferenceTags (LogParserTask.java:585-627): "k: v"
+    # pairs joined by ", " within a tag document, tag documents joined
+    # by "<br>"; accepts a single object
+    if isinstance(tags, dict):
+        tags = [tags]
+    if not isinstance(tags, list):
+        return None
+    parts = [", ".join(f"{k}: {v}" for k, v in t.items())
+             for t in tags if isinstance(t, dict)]
+    return "<br>".join(parts) if parts else None
+
+
+def _read_pref(container):
+    # $readPreference may be an object or a bare mode string
+    # (extractReadPreferenceAndFilter LogParserTask.java:452-467)
+    rp = container.get("$readPreference")
+    if isinstance(rp, str):
+        return rp, None
+    if isinstance(rp, dict):
+        return rp.get("mode"), _fmt_tags(rp.get("tags"))
+    return None, None
+
+
+def _op_shape(attr, cmd) -> tuple:
+    """readPreference, change-stream flag and filter JSON of one
+    op-detail line: ``(mode, tags, is_change_stream, filter_json)``."""
+    mode, tags = _read_pref(cmd)
     orig = attr.get("originatingCommand")
     orig = orig if isinstance(orig, dict) else {}
     # change-stream getMore (LogParserTask.java:871-890)
-    stages = orig.get("pipeline") or []
-    cols["is_change_stream"][r] = any(
-        isinstance(s, dict) and "$changeStream" in s for s in stages)
-
-    def first_match(pipeline):
-        for st in pipeline or []:
-            if isinstance(st, dict) and "$match" in st:
-                return st["$match"]
-        return None
-
+    stages = orig.get("pipeline")
+    is_cs = bool(stages) and any(isinstance(s, dict) and "$changeStream" in s
+                                 for s in stages)
     flt = cmd.get("filter") or cmd.get("q")
     if flt is None and isinstance(cmd.get("pipeline"), list):
-        flt = first_match(cmd["pipeline"])
+        flt = next((st["$match"] for st in cmd["pipeline"]
+                    if isinstance(st, dict) and "$match" in st), None)
     # getMore fallback: shape + read preference from
     # attr.originatingCommand when the command itself has none
     # (extractReadPreferenceAndFilter LogParserTask.java:517-551)
     if flt is None:
         flt = orig.get("filter")
-    if cols["read_pref_mode"][r] is None:
-        mode, fmt = read_pref(orig)
-        cols["read_pref_mode"][r] = mode
-        if cols["read_pref_tags"][r] is None:
-            cols["read_pref_tags"][r] = fmt
-    if flt is not None:
-        cols["raw_filter_json"][r] = json.dumps(
-            flt, sort_keys=True, separators=(",", ":"))
-
-
-def _fill_row(cols, r, doc, attr, msg) -> bool:
-    """One NON-ignored parsed line, reference task semantics
-    (LogParserTask.call() :76-356): side extracts (error / txn / auth /
-    lifecycle / metadata), then the INDEX → WRITE → COMMAND branch
-    dispatch.  Returns the client-disconnect error flag."""
-    c = doc.get("c")
-    cols["ns"][r] = attr.get("ns") or attr.get("namespace")
-    cols["remote"][r] = attr.get("remote")
-    cols["duration_ms"][r] = _get_metric(attr, "durationMillis")
-    amsg = attr.get("msg")
-    if isinstance(amsg, str):
-        cols["attr_msg"][r] = amsg
-    else:
-        amsg = None
-
-    disc = _fill_errors(cols, r, doc, attr)
-
-    # side extracts keyed on the envelope msg (same lines the
-    # reference's processTransaction / processClientMetadata /
-    # processAccessMessage consume)
-    if msg == "transaction":
-        # processTransaction (LogParserTask.java:1117-1179)
-        params = attr.get("parameters") or {}
-        cols["txn_retry_counter"][r] = _get_metric(params, "txnRetryCounter")
-        cols["termination_cause"][r] = attr.get("terminationCause")
-        cols["commit_type"][r] = attr.get("commitType")
-        cols["commit_us"][r] = _get_metric(attr, "commitDurationMicros")
-        cols["active_us"][r] = _get_metric(attr, "timeActiveMicros")
-        cols["inactive_us"][r] = _get_metric(attr, "timeInactiveMicros")
-        cols["branch"][r] = "none"
-        return disc
-    if msg == "client metadata":
-        # processClientMetadata (LogParserTask.java:1224-1315) —
-        # short-circuits the rest of the line processing (:122-124)
-        d = attr.get("doc") or {}
-        drv = d.get("driver") or {}
-        cols["driver_name"][r] = drv.get("name")
-        cols["driver_version"][r] = drv.get("version")
-        cols["os_type"][r] = (d.get("os") or {}).get("type")
-        cols["platform"][r] = d.get("platform")
-        # server version from the mongos field (:1289-1296)
-        cols["server_version"][r] = (d.get("mongos") or {}).get("version")
-        comps = attr.get("negotiatedCompressors")
-        if comps is not None:
-            cols["compressors"][r] = ",".join(comps)
-        cols["branch"][r] = "none"
-        return disc
-    if msg == "Successfully authenticated":
-        # processAccessMessage (LogParserTask.java:1181-1222):
-        # user + db + mechanism recorded for the ctx join
-        cols["username"][r] = attr.get("user")
-        cols["auth_db"][r] = attr.get("db")
-        cols["auth_mechanism"][r] = attr.get("mechanism")
-        cols["branch"][r] = "none"
-        return disc
-
-    # --- branch dispatch (LogParserTask.java:155-345) ---------------
-    branch = None
-    if c == "INDEX":
-        # processIndexOperation (:720-778) dispatches on attr.msg —
-        # NOT the envelope msg; attr.msg is absent on most real INDEX
-        # lines, so they fold as index_maintenance / "command"
-        if amsg is not None and "Deleted expired documents" in amsg:
-            branch = "ttl_attr"
-            if isinstance(attr.get("namespace"), str):
-                cols["ns"][r] = attr["namespace"]
-            cols["n_deleted"][r] = _get_metric(attr, "numDeleted")
-        elif isinstance(attr.get("namespace"), str):
-            branch = "index"
-            cols["ns"][r] = attr["namespace"]
-            if amsg is not None:
-                cols["index_cat"][r] = (
-                    "index_build" if "Index build" in amsg else
-                    "index_drop" if "Index drop" in amsg else "index_other")
-            else:
-                cols["index_cat"][r] = "index_maintenance"
-        # neither → fall through to the WRITE / COMMAND checks
-    if branch is None and c == "WRITE" and "type" in attr:
-        # processWriteOperation (:955-981): requires attr.ns, else the
-        # line is consumed with no output (the dispatch is else-if)
-        if isinstance(attr.get("ns"), str):
-            branch = "write"
-            cols["ns"][r] = attr["ns"]
-            cols["op_kind"][r] = attr["type"] \
-                if isinstance(attr["type"], str) else None
-            cmd = attr.get("command")
-            _fill_op_details(cols, r, attr,
-                             cmd if isinstance(cmd, dict) else {})
-        else:
-            branch = "dead"
-    if branch is None:
-        cmd = attr.get("command")
-        if isinstance(cmd, dict):
-            if isinstance(attr.get("ns"), str):
-                branch = "command"
-                cols["ns"][r] = attr["ns"]
-                # first-match over the reference's closed op set
-                # (processCommandOperation :802-919), else the first
-                # admin / _shardsv* key (processOtherOperations
-                # :921-943), else the first key (classifies to none)
-                opk = next((k for k in S.REF_COMMAND_OPS if k in cmd), None)
-                if opk is None:
-                    opk = next((k for k in cmd
-                                if k.startswith("_shardsv")
-                                or k in S.ADMIN_OPS),
-                               next(iter(cmd), None))
-                cols["op_kind"][r] = opk
-                # collection-name ns override (:804-918): the command
-                # value names the collection; getMore carries it in
-                # `collection`; aggregate "1" is a DATABASE-level
-                # aggregation and keeps the original namespace
-                coll = cmd.get("collection") if opk == "getMore" \
-                    else (cmd.get(opk) if opk in S.REF_COMMAND_OPS else None)
-                db = str(attr["ns"]).split(".", 1)[0]
-                if db and isinstance(coll, str) and coll \
-                        and not (opk == "aggregate" and coll == "1"):
-                    cols["ns"][r] = f"{db}.{coll}"
-                _fill_op_details(cols, r, attr, cmd)
-            else:
-                branch = "dead"  # noNs (LogParserTask.java:268-276)
-    cols["branch"][r] = branch or "none"
-    return disc
+    if mode is None:
+        mode, fmt = _read_pref(orig)
+        if tags is None:
+            tags = fmt
+    return (mode, tags, is_cs,
+            None if flt is None else
+            _FILTER_JSON.encode(flt))
 
 
 # ---------------------------------------------------------------------------
