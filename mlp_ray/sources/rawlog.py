@@ -22,8 +22,7 @@ spending its per-line cost only where the reference needs it:
     ignore category is looked up on the ignored lines only;
   * a full JSON parse only for lines whose msg or sniffs say they carry
     sink-relevant attrs, like ``containsTargetOperation``'s pre-filter
-    (:926-932).  ``orjson`` parses; ``json`` decides what orjson rejects
-    (NaN, Infinity, lone surrogates) or would round (a 19+ digit run);
+    (:926-932);
   * per line, Python runs only what needs the whole document: the
     branch dispatch, the error-code accumulation, readPreference,
     command shape and the filter's ``json.dumps``.  Typed attr fields
@@ -166,7 +165,9 @@ def _text_files(paths: list[str], codec: str | None):
     stream is decompressed with ``codec`` — the sniffed content, not
     the extension (Ray's ``read_text`` would gunzip a plain file named
     ``.gz``) — and decoded the way ``_zip_lines`` does: an invalid
-    UTF-8 byte becomes U+FFFD and its line is counted, never raised."""
+    UTF-8 byte becomes U+FFFD and its line is counted, never raised.
+    Blank and whitespace-only lines are dropped, as ``read_text``'s
+    ``drop_empty_lines`` default does."""
     from ray.data.datasource import FileBasedDatasource
 
     class LogText(FileBasedDatasource):
@@ -174,7 +175,8 @@ def _text_files(paths: list[str], codec: str | None):
             return filesystem.open_input_stream(path, compression=codec)
 
         def _read_stream(self, f, path):
-            lines = f.readall().decode("utf-8", errors="replace").splitlines()
+            text = f.readall().decode("utf-8", errors="replace")
+            lines = [ln for ln in text.splitlines() if ln.strip()]
             yield pa.table({"text": pa.array(lines, pa.string())})
 
     return LogText(paths, include_paths=True)
@@ -229,9 +231,6 @@ _WHITELIST_ANY_RE = _TARGET_OP_RE + '|"msg":"client metadata"'
 _AUTH_NET_PREFILTER = 'c":"(?:ACCESS|NETWORK)"'
 _ERR_SNIFF_RE = '"ok":0|"error":'
 _BRANCH_SNIFF_RE = '"c":"(?:INDEX|WRITE)"|"command":'
-# orjson turns integer literals outside [-2**63, 2**64) into floats
-# where json keeps exact ints: lines with a 19+ digit run use json
-_LONG_DIGITS_RE = r"\d{19}"
 _DETAIL_MSG_SET = pa.array(sorted(_DETAIL_MSGS), pa.string())
 
 # attr keys read per line into a column group's row tuple (one
@@ -245,6 +244,16 @@ _TXN_KEYS = ("terminationCause", "commitType", "commitDurationMicros",
              "timeActiveMicros", "timeInactiveMicros")
 _AUTH_KEYS = ("user", "db", "mechanism")
 _EMPTY: dict = {}
+# raw-path reference-semantics signals (classify's raw branch), in
+# output order after the events schema's columns and parse_status
+_RAW_SIGNALS = {
+    "attr_msg": pa.string(), "branch": pa.string(),
+    "index_cat": pa.string(), "err_name_obj": pa.string(),
+    "err_name_ok": pa.string(), "ttl_ns": pa.string(),
+    "err_code2": pa.int64(), "ttl_n_deleted": pa.int64(),
+    "err_disconnect": pa.bool_()}
+_SCHEMA = S.events_tok_schema()
+_TYPES = {**dict(zip(_SCHEMA.names, _SCHEMA.types)), **_RAW_SIGNALS}
 # json.dumps(flt, sort_keys=True, separators=(",", ":")) without
 # building an encoder per call; the bytes are the redaction contract
 _FILTER_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -278,17 +287,6 @@ def _first(a: list, b: list) -> list:
     return [x if x is not None else y for x, y in zip(a, b)]
 
 
-def _loads(text: str, long_digits: bool, fast):
-    """orjson, with ``json`` as the authority for what it rejects
-    (NaN/Infinity, lone surrogates) or would round (huge integers)."""
-    if not long_digits:
-        try:
-            return fast(text)
-        except ValueError:
-            pass
-    return json.loads(text)
-
-
 class _Group:
     """Rows of one batch that feed one set of columns, with their
     source objects: ``add((row, obj))`` while parsing, then ``put``
@@ -310,8 +308,8 @@ class _Group:
         pos = np.full(n, -1, np.int64)
         pos[[r for r, _ in self.items]] = np.arange(len(self.items))
         idx = pa.array(pos, mask=pos < 0)
-        for name, (vals, typ) in cols.items():
-            col = pa.array(vals, typ).take(idx)
+        for name, vals in cols.items():
+            col = pa.array(vals, _TYPES[name]).take(idx)
             out[name] = pc.coalesce(out[name], col) if name in out else col
 
 
@@ -359,8 +357,7 @@ def parse_batch(batch: pa.Table) -> pa.Table:
     status[~ij] = "non_json"
     status[tl] = "too_long"
     groups = _parse_docs(text_py, msg_py, np.flatnonzero(need_full),
-                         _hits(safe, _LONG_DIGITS_RE), pre_ign, ttl_hook,
-                         status)
+                         pre_ign, ttl_hook, status)
     out = _project_groups(groups, n)
 
     # doc_id must be a pure function of (file, line content) so it is
@@ -384,23 +381,16 @@ def parse_batch(batch: pa.Table) -> pa.Table:
     # "Connection accepted" lines pair by "conn"+attr.connectionId
     # (the raw ctx is "listener" on real mongod logs) —
     # LogParserTask.java:1328-1330
-    out["ctx"] = pc.coalesce(out.pop("ctx_conn", pa.nulls(n, pa.string())),
-                             env["ctx"])
+    out["ctx"] = (pc.coalesce(out["ctx"], env["ctx"]) if "ctx" in out
+                  else env["ctx"])
     out["ts"] = _parse_ts(env["ts"])
 
-    sch = S.events_tok_schema()
+    out["parse_status"] = pa.array(status, pa.string())
     cols_out = {name: out[name] if name in out
-                else pa.nulls(n, sch.field(name).type)
-                for name in sch.names}
-    cols_out["parse_status"] = pa.array(status, pa.string())
-    # raw-path reference-semantics signals (classify's raw branch)
-    for name in ("attr_msg", "branch", "index_cat", "err_name_obj",
-                 "err_name_ok", "ttl_ns"):
-        cols_out[name] = out.get(name, pa.nulls(n, pa.string()))
-    for name in ("err_code2", "ttl_n_deleted"):
-        cols_out[name] = out.get(name, pa.nulls(n, pa.int64()))
-    cols_out["err_disconnect"] = pc.fill_null(
-        out.get("err_disconnect", pa.nulls(n, pa.bool_())), False)
+                else pa.nulls(n, _TYPES[name])
+                for name in (*_SCHEMA.names, "parse_status", *_RAW_SIGNALS)}
+    cols_out["err_disconnect"] = pc.fill_null(cols_out["err_disconnect"],
+                                              False)
     cols_out["pre_ignored"] = pa.array(pre_ign)
     cols_out["pre_ignored_category"] = pa.array(pre_cat, pa.string())
     if "path" in batch.column_names:
@@ -444,24 +434,19 @@ _GROUPS = ("errs", "main", "dur", "ttl", "conn",
            "txn", "meta", "auth", "op", "idx_ttl")
 
 
-def _parse_docs(text_py, msg_py, rows, long_digits, pre_ign, ttl_hook,
-                status) -> dict:
+def _parse_docs(text_py, msg_py, rows, pre_ign, ttl_hook, status) -> dict:
     """JSON-parse the ``rows`` lines and run the per-line reference
     logic that needs the whole document (TTL hook, connection id,
     error accumulation, branch dispatch).  Each line adds one row tuple
     of raw attr values to each column group it feeds, so no document
     outlives its line.  Lines that fail to parse are marked
     ``bad_json`` in ``status`` unless the ignore filter dropped them."""
-    import orjson  # loaded by the processes that parse, not at import
-
-    fast = orjson.loads
     g = {name: _Group() for name in _GROUPS}
     errs, main, dur, ttl, conn = (g[k].add for k in _GROUPS[:5])
-    ign_l, ttl_l, long_l = (m.tolist() for m in (pre_ign, ttl_hook,
-                                                 long_digits))
+    ign_l, ttl_l = pre_ign.tolist(), ttl_hook.tolist()
     for r in rows.tolist():
         try:
-            doc = _loads(text_py[r], long_l[r], fast)
+            doc = json.loads(text_py[r])
         except ValueError:
             # ignored lines are never JSON-parsed by the reference —
             # only lines that reach a LogParserTask count parse errors
@@ -556,68 +541,59 @@ def _project_groups(g: dict, n: int) -> dict:
     """Every attr-derived output column: each group's row tuples are
     transposed once, typed a column at a time and scattered back to
     batch rows."""
-    s, i64, b = pa.string(), pa.int64(), pa.bool_()
     out: dict[str, pa.Array] = {}
     if g["errs"].items:
-        g["errs"].put(out, n, {name: (col, typ) for (name, typ), col in
-                               zip(_ERR_COLS.items(), zip(*g["errs"].src))})
+        g["errs"].put(out, n, dict(zip(_ERR_COLS, zip(*g["errs"].src))))
     if g["main"].items:
         ns, op_kind, branch, index_cat, remote, amsg = zip(*g["main"].src)
         g["main"].put(out, n, {
-            "ns": (ns, s), "op_kind": (op_kind, s), "branch": (branch, s),
-            "index_cat": (index_cat, s), "remote": (remote, s),
-            "attr_msg": ([m if type(m) is str else None for m in amsg], s)})
-    g["dur"].put(out, n, {"duration_ms": (_ints(g["dur"].src), i64)})
+            "ns": ns, "op_kind": op_kind, "branch": branch,
+            "index_cat": index_cat, "remote": remote,
+            "attr_msg": [m if type(m) is str else None for m in amsg]})
+    g["dur"].put(out, n, {"duration_ms": _ints(g["dur"].src)})
     if g["ttl"].items:
         ttl_ns, ttl_deleted = zip(*g["ttl"].src)
-        g["ttl"].put(out, n, {"ttl_ns": (ttl_ns, s),
-                              "ttl_n_deleted": (_ints(ttl_deleted), i64)})
-    g["conn"].put(out, n, {"ctx_conn": (g["conn"].src, s)})
+        g["ttl"].put(out, n, {"ttl_ns": ttl_ns,
+                              "ttl_n_deleted": _ints(ttl_deleted)})
+    g["conn"].put(out, n, {"ctx": g["conn"].src})
     if g["txn"].items:
         retry, cause, ctype, commit, active, inactive = zip(*g["txn"].src)
         g["txn"].put(out, n, {
-            "txn_retry_counter": (_ints(retry), pa.int32()),
-            "termination_cause": (cause, s), "commit_type": (ctype, s),
-            "commit_us": (_ints(commit), i64),
-            "active_us": (_ints(active), i64),
-            "inactive_us": (_ints(inactive), i64)})
+            "txn_retry_counter": _ints(retry),
+            "termination_cause": cause, "commit_type": ctype,
+            "commit_us": _ints(commit), "active_us": _ints(active),
+            "inactive_us": _ints(inactive)})
     if g["meta"].items:
-        g["meta"].put(out, n, {name: (col, s) for name, col in zip(
+        g["meta"].put(out, n, dict(zip(
             ("driver_name", "driver_version", "os_type", "platform",
-             "server_version", "compressors"), zip(*g["meta"].src))})
+             "server_version", "compressors"), zip(*g["meta"].src))))
     if g["auth"].items:
-        g["auth"].put(out, n, {name: (col, s) for name, col in zip(
-            ("username", "auth_db", "auth_mechanism"),
-            zip(*g["auth"].src))})
+        g["auth"].put(out, n, dict(zip(
+            ("username", "auth_db", "auth_mechanism"), zip(*g["auth"].src))))
     if g["op"].items:
         (app, qhash, pck, plan, reason, planning, keys, docs, nret_lc, nret,
          reslen, conflicts, shards, modified, upserted, ndel_lc, ndel,
          nins_lc, nins, bytes_read, bytes_written, replanned, multi_planner,
          mode, tags, is_cs, flt) = zip(*g["op"].src)
         g["op"].put(out, n, {
-            "app_name": (app, s), "query_hash": (qhash, s),
-            "plan_cache_key": (pck, s), "plan_summary": (plan, s),
-            "replan_reason": (reason, s),
-            "planning_time_us": (_ints(planning), i64),
-            "keys_examined": (_ints(keys), i64),
-            "docs_examined": (_ints(docs), i64),
-            "n_returned": (_first(_ints(nret_lc), _ints(nret)), i64),
-            "reslen": (_ints(reslen), i64),
-            "write_conflicts": (_ints(conflicts), i64),
-            "n_shards": (_ints(shards), i64),
-            "n_modified": (_ints(modified), i64),
-            "n_upserted": (_ints(upserted), i64),
-            "n_deleted": (_first(_ints(ndel_lc), _ints(ndel)), i64),
-            "n_inserted": (_first(_ints(nins_lc), _ints(nins)), i64),
-            "bytes_read": (_ints(bytes_read), i64),
-            "bytes_written": (_ints(bytes_written), i64),
-            "replanned": (replanned, b),
-            "from_multi_planner": (multi_planner, b),
-            "read_pref_mode": (mode, s), "read_pref_tags": (tags, s),
-            "is_change_stream": (is_cs, b), "raw_filter_json": (flt, s)})
+            "app_name": app, "query_hash": qhash, "plan_cache_key": pck,
+            "plan_summary": plan, "replan_reason": reason,
+            "planning_time_us": _ints(planning),
+            "keys_examined": _ints(keys), "docs_examined": _ints(docs),
+            "n_returned": _first(_ints(nret_lc), _ints(nret)),
+            "reslen": _ints(reslen), "write_conflicts": _ints(conflicts),
+            "n_shards": _ints(shards), "n_modified": _ints(modified),
+            "n_upserted": _ints(upserted),
+            "n_deleted": _first(_ints(ndel_lc), _ints(ndel)),
+            "n_inserted": _first(_ints(nins_lc), _ints(nins)),
+            "bytes_read": _ints(bytes_read),
+            "bytes_written": _ints(bytes_written),
+            "replanned": replanned, "from_multi_planner": multi_planner,
+            "read_pref_mode": mode, "read_pref_tags": tags,
+            "is_change_stream": is_cs, "raw_filter_json": flt})
     # INDEX-branch TTL deletions: rows disjoint from the op rows above
-    g["idx_ttl"].put(out, n, {"n_deleted": (
-        _ints(v for v, in g["idx_ttl"].src), i64)})
+    g["idx_ttl"].put(out, n, {"n_deleted": _ints(
+        v for v, in g["idx_ttl"].src)})
     return out
 
 
@@ -660,9 +636,9 @@ def _errors(doc, attr) -> tuple:
     type mismatch in an earlier section aborts the later ones (the
     reference's ``getJSONObject``/``getString``/``getInt`` throws).
 
-    Returns ``_ERR_COLS``: the three accumulations, the legacy
-    single-accumulation view, the isError flag and the disconnect
-    flag."""
+    Returns one value per ``_ERR_COLS`` name: the three accumulations,
+    the legacy single-accumulation view, the isError flag and the
+    disconnect flag."""
     if "error" not in attr and "ok" not in attr \
             and doc.get("msg") != _DISCONNECT_MSG:
         return _NO_ERROR
@@ -733,10 +709,8 @@ def _errors(doc, attr) -> tuple:
 
 
 _NO_ERROR = (None,) * 6 + (False,)
-_ERR_COLS = {"err_name_obj": pa.string(), "err_name_ok": pa.string(),
-             "err_code2": pa.int64(), "err_code_name": pa.string(),
-             "err_code": pa.int32(), "is_error": pa.bool_(),
-             "err_disconnect": pa.bool_()}
+_ERR_COLS = ("err_name_obj", "err_name_ok", "err_code2", "err_code_name",
+             "err_code", "is_error", "err_disconnect")
 
 
 def _dispatch(attr, c, msg) -> tuple:

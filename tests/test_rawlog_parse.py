@@ -17,6 +17,7 @@
   parser, so real-sized input is covered without committing it.
 * Invalid UTF-8 in a gzip or plain log file is decoded with
   replacement and counted, as it is for zip archives.
+* Blank and whitespace-only lines of a gzip or plain log are not rows.
 
 Only ``parse_batch`` runs for the first two (no Ray), so they are fast.
 """
@@ -162,3 +163,21 @@ def test_raw_read_blocks_hold_one_file_each(tmp_path):
         (path,) = set(block["path"].to_pylist())
         counts[path] = counts.get(path, 0) + block.num_rows
     assert counts == {p: sum(1 for _ in gzip.open(p)) for p in paths}
+
+
+def test_blank_lines_are_not_rows(tmp_path):
+    """Blank and whitespace-only lines of a gzip or plain log are not
+    read as rows (``read_text``'s ``drop_empty_lines`` default), so the
+    report never counts them as non-JSON lines."""
+    src = rawlog.write_raw_log_fixture(str(tmp_path / "src"), 200, seed=3,
+                                       n_shards=1, compress=False)[0]
+    with open(src, "rb") as fh:
+        lines = fh.read().split(b"\n")[:-1]
+    data = b"\n".join([b"", *lines[:5], b"  \t ", b"", *lines[5:]]) + b"\n\n"
+    gz = tmp_path / "cluster0-shard-00-00.log.gz"
+    gz.write_bytes(gzip.compress(data, mtime=0))
+    plain = tmp_path / "cluster0-shard-01-00.log"
+    plain.write_bytes(data)
+    for p in (gz, plain):
+        texts = [r["text"] for r in rawlog.read_raw_logs([str(p)]).take_all()]
+        assert texts == [ln.decode() for ln in lines], p.name
