@@ -45,6 +45,7 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
+from ..util import read_blocks, session_cpus
 from .analyze import ATTR_COLUMNS
 
 # sink → (mask column, carried columns); tokens ride only through the
@@ -309,7 +310,8 @@ def _route_wave(wave: list[str], out_dir: str, *, redact, batch_size,
         ds = rd.read_parquet(wave,
                              columns=ATTR_COLUMNS + ["tokens", "n_tok"],
                              include_paths=True,
-                             override_num_blocks=override_num_blocks)
+                             override_num_blocks=override_num_blocks
+                             or read_blocks(wave, session_cpus()))
         task_fn = _fused_route_task
     lin = ds.map_batches(
         functools.partial(task_fn, out_dir=out_dir,
@@ -362,7 +364,12 @@ def route_partitioned(input_files: list[str], out_dir: str, *,
     (``ReadParquet->MapBatches``) and the heavy tokens column goes
     disk → task heap → sink file without ever entering the object
     store; ``batch_size=None`` keeps whole read blocks as batches
-    (no coalesce barrier, bigger sink files).
+    (no coalesce barrier), so each read block is one writer call and
+    one file per sink.  A Parquet wave is read in
+    ``util.read_blocks(wave, session_cpus())`` blocks unless
+    ``override_num_blocks`` is given: one per CPU or per file, none
+    below Ray's minimum block size.  Raw logs are read one block per
+    file.
 
     ``commit_every=N`` processes the input in waves of N partitions and
     commits the manifest after each wave, so a killed job loses at most
@@ -400,9 +407,11 @@ def read_sink(out_dir: str, sink: str, columns: list[str] | None = None,
               override_num_blocks: int | None = None):
     """Read one routed sink back as a Dataset (column-pruned).
 
-    Routed sinks are one file per (partition × batch) — pass
-    ``override_num_blocks`` sized by DATA (~0.5M rows/block) when the
-    consumer is a fold, so scheduling overhead doesn't dominate small
-    per-file reads."""
-    return rd.read_parquet(os.path.join(out_dir, sink), columns=columns,
-                           override_num_blocks=override_num_blocks)
+    Routed sinks are one file per (partition × read block), so the
+    read is sized by the sink's bytes and the session's CPUs
+    (``util.read_blocks``), not by its file count; an explicit
+    ``override_num_blocks`` wins."""
+    path = os.path.join(out_dir, sink)
+    return rd.read_parquet(path, columns=columns,
+                           override_num_blocks=override_num_blocks
+                           or read_blocks(path, session_cpus()))

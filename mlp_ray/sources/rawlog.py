@@ -277,10 +277,31 @@ def _hits(col, pattern: str) -> np.ndarray:
 
 
 def _ints(vals) -> list:
-    """A metric column: JSON ints and floats become int; bool,
-    strings, containers and missing values become None."""
-    return [v if type(v) is int else int(v) if type(v) is float else None
+    """A metric column: JSON ints and floats stay (Arrow truncates a
+    float to its integer column); bool, strings, containers and
+    missing values become None."""
+    return [v if type(v) is int or type(v) is float else None
             for v in vals]
+
+
+def _typed(vals, t: pa.DataType) -> pa.Array:
+    """``vals`` as one Arrow array of type ``t``.  When the column
+    holds a value ``t`` cannot (NaN, Infinity, an integer out of
+    range, a wrong-typed value), retries value by value and nulls just
+    those, as the reference's nullable reads give null
+    (LogParserTask.java:1384-1389)."""
+    try:
+        return pa.array(vals, t)
+    except (pa.ArrowException, OverflowError):
+        return pa.array([v if _fits(v, t) else None for v in vals], t)
+
+
+def _fits(v, t: pa.DataType) -> bool:
+    try:
+        pa.array([v], t)
+    except (pa.ArrowException, OverflowError):
+        return False
+    return True
 
 
 def _first(a: list, b: list) -> list:
@@ -309,7 +330,7 @@ class _Group:
         pos[[r for r, _ in self.items]] = np.arange(len(self.items))
         idx = pa.array(pos, mask=pos < 0)
         for name, vals in cols.items():
-            col = pa.array(vals, _TYPES[name]).take(idx)
+            col = _typed(vals, _TYPES[name]).take(idx)
             out[name] = pc.coalesce(out[name], col) if name in out else col
 
 

@@ -98,21 +98,21 @@ def bucketed_groups(ds, key_cols: list[str], fn, num_buckets: int = 64):
     key cardinality is high: per-key map_groups builds one Python
     pandas frame per key through the sort shuffle, while a bucketed
     group hands ``fn`` enough co-located rows to reduce them with ONE
-    vectorized pandas pass per bucket.  Bucket-tagged blocks enter the
-    sort exchange as ARROW tables (see ``arrow_out``)."""
+    vectorized pandas pass per bucket.  Buckets are tagged on Arrow
+    batches, so a nullable integer key hashes by value
+    (``_arrow_key_hash``): in a pandas batch it would turn float64
+    wherever the batch holds a null, and hash to another bucket."""
     import pandas as pd
+    import pyarrow as pa
 
-    def add_bucket(df: pd.DataFrame):
-        if df.empty:
-            df["_bucket"] = pd.Series(dtype="int64")
-        else:
-            df["_bucket"] = key_hash_buckets(df, key_cols, num_buckets)
-        return arrow_out(df)
+    def add_bucket(t: pa.Table) -> pa.Table:
+        return t.append_column("_bucket", pa.array(
+            key_hash_buckets(t, key_cols, num_buckets), pa.int64()))
 
     def run(g: pd.DataFrame) -> pd.DataFrame:
         return fn(g.drop(columns=["_bucket"]))
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
+    return (ds.map_batches(add_bucket, batch_format="pyarrow")
             .groupby("_bucket").map_groups(run, batch_format="pandas"))
 
 
@@ -137,7 +137,7 @@ def key_hash_buckets(df, key_cols: list[str], num_buckets: int):
 
 def _arrow_key_hash(col) -> np.ndarray:
     """Per-row hash of an Arrow key column, equal to pandas'
-    ``hash_pandas_object`` of the column as a nullable ``Int64`` /
+    ``hash_pandas_object`` of the column as a nullable integer /
     ``boolean`` / string series: a value hashes the same whether or not
     its batch holds a null.  (``to_numpy`` of an integer column with a
     null is float64, whose bits hash 1.0 apart from 1.)"""
@@ -148,14 +148,49 @@ def _arrow_key_hash(col) -> np.ndarray:
     t = col.type
     if not (pa.types.is_integer(t) or pa.types.is_boolean(t)):
         return pd.util.hash_array(col.to_numpy(zero_copy_only=False))
-    if pa.types.is_integer(t):
-        vals = pc.fill_null(pc.cast(col, pa.int64()), 0)
-    else:
-        vals = pc.fill_null(col, False)
+    vals = pc.fill_null(col, 0 if pa.types.is_integer(t) else False)
     hv = pd.util.hash_array(vals.to_numpy())
     if col.null_count:
         hv[pc.is_null(col).to_numpy(zero_copy_only=False)] = hash(pd.NA)
     return hv
+
+
+def read_blocks(paths, cpus: int) -> int:
+    """Read block count for a Parquet input of ``paths`` (files or
+    directories, resolved as Ray Data's readers resolve them) in a
+    session of ``cpus`` CPUs: one block per CPU or per file, whichever
+    is more, but no block below Ray Data's ``target_min_block_size``
+    and never fewer than one.
+
+    The reference sizes work the same way, by data and by machine
+    (25,000-line chunks on ``availableProcessors`` threads,
+    LogParser.java:611-613,654).  Ray's own default
+    (``read_op_min_num_blocks`` = 200, floored at the minimum block
+    size) cuts one 4 MB file into 13-16 blocks, and each block is its
+    own route task that writes one file per routed sink."""
+    from pyarrow.fs import FileSelector, FileType
+    from ray.data import DataContext
+    from ray.data.datasource.path_util import _resolve_paths_and_filesystem
+
+    paths, fs = _resolve_paths_and_filesystem(paths)
+    sizes = []
+    for info in fs.get_file_info(paths):
+        infos = (fs.get_file_info(FileSelector(info.path, recursive=True))
+                 if info.type == FileType.Directory else [info])
+        sizes += [i.size for i in infos if i.type == FileType.File]
+    min_block = DataContext.get_current().target_min_block_size
+    return max(1, min(max(cpus, len(sizes)), sum(sizes) // min_block))
+
+
+def session_cpus() -> int:
+    """CPUs of the running Ray session.  Starts one the way a Dataset
+    read would when none is up; the local machine's count would be
+    wrong on a cluster."""
+    import ray
+    from ray._private.auto_init_hook import auto_init_ray
+
+    auto_init_ray()
+    return int(ray.cluster_resources().get("CPU", 1))
 
 
 def fixture_path(prefix: str, sf_dir: str) -> str:

@@ -90,6 +90,24 @@ def test_user_gaps_layout_and_bucket_invariance(ray_session):
     assert_frames_match(a, b, ["user_id"])
 
 
+def test_bucketed_groups_keeps_a_nullable_int_key_whole(ray_session):
+    """An int key column with a null in one block only: each key still
+    lands in exactly one bucket group (a pandas batch holding the null
+    would have turned the key float64 and hashed it elsewhere)."""
+    import pyarrow as pa
+    from mlp_ray.util import bucketed_groups
+
+    blocks = [pa.table({"k": pa.array([None, *range(10)], pa.int64())}),
+              pa.table({"k": pa.array(range(10), pa.int64())})]
+    out = bucketed_groups(
+        rd.from_arrow(blocks), ["k"],
+        lambda g: g.groupby("k", dropna=False).size().reset_index(name="n"),
+        num_buckets=64).to_pandas()
+    assert not out["k"].duplicated().any()
+    got = dict(zip(out["k"].fillna(-1).astype(int), out["n"]))
+    assert got == {**{k: 2 for k in range(10)}, -1: 1}
+
+
 def test_sf_queries_layout_invariance(ray_session, tmp_path_factory):
     """sf_dir-based queries must return identical results when every
     input table is re-sharded into many small files (a different

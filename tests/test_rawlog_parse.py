@@ -18,6 +18,9 @@
 * Invalid UTF-8 in a gzip or plain log file is decoded with
   replacement and counted, as it is for zip archives.
 * Blank and whitespace-only lines of a gzip or plain log are not rows.
+* An attr value its column type cannot hold (``NaN``, ``Infinity``, an
+  integer past 64 bits, a non-string ``appName``, an ``errCode`` past
+  int32) is null on an otherwise kept ``ok`` line.
 
 Only ``parse_batch`` runs for the first two (no Ray), so they are fast.
 """
@@ -181,3 +184,31 @@ def test_blank_lines_are_not_rows(tmp_path):
     for p in (gz, plain):
         texts = [r["text"] for r in rawlog.read_raw_logs([str(p)]).take_all()]
         assert texts == [ln.decode() for ln in lines], p.name
+
+
+SLOW = ('{"t":{"$date":"2024-03-05T10:11:12.345+00:00"},"s":"I",'
+        '"c":"COMMAND","id":51803,"ctx":"conn7","msg":"Slow query",'
+        '"attr":{"type":"command","ns":"app.users","command":{"find":"u"},'
+        '"appName":"svc",%s,"durationMillis":150}}')
+
+
+@pytest.mark.parametrize("attr,bad,good,col", [
+    ('"docsExamined":%s', "NaN", "7", "docs_examined"),
+    ('"docsExamined":%s', "Infinity", "7", "docs_examined"),
+    ('"docsExamined":%s', "-Infinity", "7", "docs_examined"),
+    ('"docsExamined":%s', str(2**70), "7", "docs_examined"),
+    ('"appName":%s', "5", '"svc"', "app_name"),
+    ('"ok":0,"errName":"E","errCode":%s', str(2**40), "11000", "err_code"),
+])
+def test_unholdable_attr_value_is_null(attr, bad, good, col):
+    """Only the value is nulled: the line stays ``ok`` with every other
+    field, and a clean line in the same batch keeps its value."""
+    out = rawlog.parse_batch(pa.table({
+        "text": [SLOW % (attr % bad), SLOW % (attr % good)],
+        "path": ["a.log", "a.log"]}))
+    got, want = out.to_pylist()
+    assert got["parse_status"] == "ok"
+    assert got[col] is None and want[col] is not None
+    # err_code2 is int64 and holds the code; doc_id hashes the line
+    other = set(out.column_names) - {col, "err_code2", "doc_id"}
+    assert {k: got[k] for k in other} == {k: want[k] for k in other}
