@@ -88,7 +88,7 @@ def _global_topk(k: int):
 # Per-worker-process scorer cache: the query matrix is broadcast ONCE
 # via ray.put and materialized once per worker, but the stage runs in
 # the reusable task pool (fuses with the read, no actor cold-start) —
-# the same pattern as route._fused_route_task.
+# the same pattern as analyze._chain_task.
 _SCORER_CACHE: dict = {}
 
 

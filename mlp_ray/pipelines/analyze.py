@@ -5,10 +5,10 @@ The reference's ``LogParser.main`` (LogParser.java:1670, traced in
 SURVEY.md §3.1) reads files line-by-line into 25k-line chunks and folds
 shared synchronized accumulators; here the same result tables come
 from one lazy Ray ``Dataset`` pass: the classify → redact → enrich
-chain runs as one fused ``map_batches`` task per batch
-(``classify``), and every report table is a ``SinkJob`` of the
-single-pass multi-sink fold (``_analysis_jobs`` → ``aggs.multifold``).
-Each table has exactly that one implementation.
+chain runs as one ``map_batches`` task per batch (``classify``, the
+stage ``route`` runs too), and every report table is a ``SinkJob`` of
+the single-pass multi-sink fold (``_analysis_jobs`` →
+``aggs.multifold``).  Each table has exactly that one implementation.
 """
 
 from __future__ import annotations
@@ -88,9 +88,8 @@ def apply_user_filters(batch: pa.Table, filter_config=None,
 def apply_stage_chain(batch: pa.Table, redactor, enricher, *,
                       filter_config=None, ns_filter=None) -> pa.Table:
     """THE canonical per-batch stage order: classify → user filters →
-    COLLSCAN flag → redact → enrich.  Both the report's ``classify()``
-    and the fused route stage (``route.FusedRouteStage``) execute this
-    function, so the order lives only here."""
+    COLLSCAN flag → redact → enrich.  ``classify()`` runs it for both
+    the report and ``route``, so the order lives only here."""
     b = classify_batch(batch)
     if filter_config is not None or ns_filter is not None:
         b = apply_user_filters(b, filter_config, ns_filter)
@@ -102,8 +101,8 @@ def apply_stage_chain(batch: pa.Table, redactor, enricher, *,
 # Per-worker-process cache for the classify chain's stateful pieces
 # (redaction shape memo + broadcast ns dict): Ray reuses worker
 # processes across tasks, so a module global gives build-once
-# semantics — the same trade the fused route stage makes
-# (route._fused_route_task).
+# semantics without an actor pool's cold start.  The report and
+# route share it.
 _CHAIN_CACHE: dict = {}
 
 

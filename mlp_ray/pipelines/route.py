@@ -1,8 +1,9 @@
 """Fan-out routing with per-partition checkpointing + lineage.
 
 The production path of the engine (SURVEY.md §7.0): ONE streaming
-pass classifies rows and writes each routed sink's rows directly to
-per-sink / per-partition parquet, emitting a lineage row per
+pass runs the report's classify stage (``analyze.classify``) and
+writes each routed sink's rows directly to per-sink / per-partition
+parquet, one file per (read block, sink), emitting a lineage row per
 (partition, sink).  Aggregations then read the routed parquet with
 column pruning instead of recomputing the classify chain per sink.
 
@@ -13,7 +14,8 @@ full cluster parallelism — rather than one mini-pipeline per file.
 Resume semantics (north rule "checkpoints completed partitions so a
 killed job resumes without reprocessing"):
   * partition = one input file (at 100 TB the input is many files, so
-    file granularity is the natural resume unit);
+    file granularity is the natural resume unit), named by its
+    basename stem, so input basenames must be distinct;
   * a partition's outputs live under ``<sink>/part=<pid>/``;
   * completion is recorded as an atomic (tmp+rename) JSONL commit file
     ``_manifest/commit-*.jsonl`` — one line per completed partition —
@@ -46,7 +48,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..util import read_blocks, session_cpus
-from .analyze import ATTR_COLUMNS
+from .analyze import ATTR_COLUMNS, classify
 
 # sink → (mask column, carried columns); tokens ride only through the
 # ops sink (the routed-row token-equality target) — other sinks stay
@@ -82,21 +84,14 @@ class RouterWriter:
     """Route-write step: split a classified batch by route masks and
     write each sink's slice under its partition dir; return lineage."""
 
-    def __init__(self, out_dir: str,
-                 routes: dict[str, tuple[str, list[str]]] | None = None,
-                 ignored_sample_mod: int = 100, compression: str = "lz4"):
+    def __init__(self, out_dir: str):
         self.out_dir = out_dir
-        self.routes = routes or ROUTES
-        self.mod = ignored_sample_mod
-        # routed sinks are intermediates re-read by the aggregate stage;
-        # lz4 trades a few % size for much lower encode CPU than zstd
-        self.compression = compression
 
     def _pdir(self, sink: str, pid: str) -> str:
         d = os.path.join(self.out_dir, sink, f"part={pid}")
-        # always ensure-exists: a resume may have cleared a stale
-        # partition dir AFTER this (worker-cached) writer created it,
-        # and an exists-check cache would then write into nothing
+        # always ensure-exists: a resume's stale-output cleanup may
+        # have removed the dir since an earlier call created it, and
+        # an exists-check cache would then write into nothing
         os.makedirs(d, exist_ok=True)
         return d
 
@@ -118,17 +113,17 @@ class RouterWriter:
         if nm.any():
             vals = pc.cast(pc.if_else(num_mask, tails, "0"),
                            pa.int64()).to_numpy(zero_copy_only=False)
-            keep[nm] = (vals[nm] % self.mod) == 0
+            keep[nm] = (vals[nm] % 100) == 0
         if not nm.all():
             for i in np.nonzero(~nm)[0]:
                 h = int.from_bytes(hashlib.blake2b(
                     ids[int(i)].as_py().encode(),
                     digest_size=4).digest(), "big")
-                keep[i] = h % self.mod == 0
+                keep[i] = h % 100 == 0
         return t.filter(pa.array(keep, pa.bool_()))
 
     def _write_one(self, pid: str, part: pa.Table, t0: float, lineage: list):
-        for sink, (mask_col, cols) in self.routes.items():
+        for sink, (mask_col, cols) in ROUTES.items():
             sub = part.filter(part[mask_col]).select(
                 [c for c in cols if c in part.column_names])
             if sink == "ignored_sample" and sub.num_rows:
@@ -140,7 +135,10 @@ class RouterWriter:
                 f"{sub.num_rows}".encode(), digest_size=8).hexdigest()
             path = os.path.join(self._pdir(sink, pid), f"b-{tag}.parquet")
             tmp = path + f".tmp-{os.getpid()}"
-            pq.write_table(sub, tmp, compression=self.compression)
+            # routed sinks are intermediates re-read by the aggregate
+            # stage; lz4 trades a few % size for much lower encode CPU
+            # than zstd
+            pq.write_table(sub, tmp, compression="lz4")
             os.replace(tmp, path)
             lineage.append({
                 "partition_id": pid, "sink": sink,
@@ -168,70 +166,6 @@ class RouterWriter:
         return pa.Table.from_pylist(lineage)
 
 
-class FusedRouteStage:
-    """classify → redact → enrich → route-write as ONE stage.
-
-    Running these as separate ``map_batches`` stages would ship the
-    heavy ``tokens`` column through the object store between every
-    stage (3 extra copies of the dominant payload); fusing them keeps
-    the batch in-process from classify to the sink write.  The
-    stateful pieces (redaction memo, broadcast ns dict, writer dir
-    cache) are built once in ``__init__``; ``_fused_route_task`` keeps
-    one instance per worker process."""
-
-    def __init__(self, out_dir: str, *, redact: bool = True,
-                 filter_config=None, ns_filter=None,
-                 routes: dict[str, tuple[str, list[str]]] | None = None,
-                 compression: str = "lz4"):
-        from ..stages.redact import Redactor
-        from ..stages.enrich import NsEnricher
-
-        self._redactor = Redactor(enabled=redact)
-        self._enricher = NsEnricher()
-        self._writer = RouterWriter(out_dir, routes=routes,
-                                    compression=compression)
-        self._filter_config = filter_config
-        self._ns_filter = ns_filter
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .analyze import apply_stage_chain
-
-        b = apply_stage_chain(batch, self._redactor, self._enricher,
-                              filter_config=self._filter_config,
-                              ns_filter=self._ns_filter)
-        return self._writer(b)
-
-
-# Per-worker-process singleton: Ray reuses worker processes across
-# map_batches tasks, so lazy-initialising the fused stage in a module
-# global builds its state once per worker without an actor pool's
-# cold-start (fresh process + imports per actor) on short jobs.
-_FUSED_CACHE: dict[tuple, FusedRouteStage] = {}
-
-
-def _fused_route_task(batch: pa.Table, *, out_dir: str, redact: bool,
-                      filter_config=None, ns_filter=None,
-                      compression: str = "lz4") -> pa.Table:
-    if filter_config is not None or ns_filter is not None:
-        # config objects have no stable identity across driver calls
-        # (id() is recycled by CPython) — don't risk serving a stale
-        # cached stage; building one is cheap, the filters themselves
-        # are precompiled inside the config objects
-        return FusedRouteStage(out_dir, redact=redact,
-                               filter_config=filter_config,
-                               ns_filter=ns_filter,
-                               compression=compression)(batch)
-    key = (out_dir, redact, compression)
-    st = _FUSED_CACHE.get(key)
-    if st is None:
-        while len(_FUSED_CACHE) >= 8:  # bound worker-lifetime growth
-            _FUSED_CACHE.pop(next(iter(_FUSED_CACHE)))
-        st = FusedRouteStage(out_dir, redact=redact,
-                             compression=compression)
-        _FUSED_CACHE[key] = st
-    return st(batch)
-
-
 def _manifest_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "_manifest")
 
@@ -240,23 +174,18 @@ def completed_partitions(out_dir: str) -> dict[str, dict]:
     """Partition id → manifest record.  Commits are JSONL files (one
     line per completed partition, many partitions per commit file) so a
     run over 10^5+ input partitions appends O(1) manifest files, not
-    O(partitions); single-record ``.json`` files are also accepted."""
+    O(partitions).  Other files in the manifest dir are ignored."""
     mdir = _manifest_dir(out_dir)
     if not os.path.isdir(mdir):
         return {}
     out = {}
     for f in os.listdir(mdir):
-        p = os.path.join(mdir, f)
         if f.endswith(".jsonl"):
-            with open(p) as fh:
+            with open(os.path.join(mdir, f)) as fh:
                 for line in fh:
                     if line.strip():
                         rec = json.loads(line)
                         out[rec["partition_id"]] = rec
-        elif f.endswith(".json"):
-            with open(p) as fh:
-                rec = json.load(fh)
-            out[rec["partition_id"]] = rec
     return out
 
 
@@ -269,55 +198,38 @@ def invalidate_partitions(out_dir: str, pids) -> None:
     if not os.path.isdir(mdir):
         return
     for f in os.listdir(mdir):
+        if not f.endswith(".jsonl"):
+            continue
         p = os.path.join(mdir, f)
-        if f.endswith(".jsonl"):
-            with open(p) as fh:
-                recs = [json.loads(l) for l in fh if l.strip()]
-            keep = [r for r in recs if r["partition_id"] not in pids]
-            if len(keep) != len(recs):
-                tmp = p + ".tmp"
-                with open(tmp, "w") as fh:
-                    for r in keep:
-                        fh.write(json.dumps(r) + "\n")
-                os.replace(tmp, p)
-        elif f.endswith(".json"):
-            with open(p) as fh:
-                if json.load(fh).get("partition_id") in pids:
-                    os.remove(p)
+        with open(p) as fh:
+            recs = [json.loads(l) for l in fh if l.strip()]
+        keep = [r for r in recs if r["partition_id"] not in pids]
+        if len(keep) != len(recs):
+            tmp = p + ".tmp"
+            with open(tmp, "w") as fh:
+                for r in keep:
+                    fh.write(json.dumps(r) + "\n")
+            os.replace(tmp, p)
 
 
-def _fused_raw_route_task(batch, **kw):
-    """Raw-log variant of the fused route task: parse the JSONL lines
-    first (path column rides through for partition identity), then the
-    same classify→redact→enrich→write chain."""
-    from ..sources.rawlog import parse_batch
-    return _fused_route_task(parse_batch(batch), **kw)
-
-
-def _route_wave(wave: list[str], out_dir: str, *, redact, batch_size,
-                filter_config, ns_filter, override_num_blocks,
-                raw_logs=False) -> pd.DataFrame:
-    """One streaming pipeline over one wave of input partitions."""
-    import functools
-
+def _route_wave(wave: list[str], out_dir: str, *, redact,
+                override_num_blocks, raw_logs) -> pd.DataFrame:
+    """One streaming pipeline over one wave of input partitions: the
+    report's ``classify`` stage, then the route writer."""
     t0 = time.perf_counter()
     if raw_logs:
         from ..sources import rawlog
-        ds = rawlog.read_raw_logs(wave,
-                                  override_num_blocks=override_num_blocks)
-        task_fn = _fused_raw_route_task
+        ds = rawlog.read_raw_logs(
+            wave, override_num_blocks=override_num_blocks).map_batches(
+                rawlog.parse_batch, batch_format="pyarrow")
     else:
         ds = rd.read_parquet(wave,
                              columns=ATTR_COLUMNS + ["tokens", "n_tok"],
                              include_paths=True,
                              override_num_blocks=override_num_blocks
                              or read_blocks(wave, session_cpus()))
-        task_fn = _fused_route_task
-    lin = ds.map_batches(
-        functools.partial(task_fn, out_dir=out_dir,
-                          redact=redact, filter_config=filter_config,
-                          ns_filter=ns_filter),
-        batch_format="pyarrow", batch_size=batch_size).to_pandas()
+    lin = classify(ds, redact=redact).map_batches(
+        RouterWriter(out_dir), batch_format="pyarrow").to_pandas()
     wall_ms = (time.perf_counter() - t0) * 1000.0
     lin = (lin[lin["sink"] != "none"]
            .groupby(["partition_id", "sink"], as_index=False)
@@ -351,21 +263,22 @@ def _commit_wave(wave: list[str], lin: pd.DataFrame, out_dir: str) -> None:
 
 def route_partitioned(input_files: list[str], out_dir: str, *,
                       redact: bool = True,
-                      batch_size: int | None = None,
-                      filter_config=None, ns_filter=None,
                       commit_every: int | None = None,
                       override_num_blocks: int | None = None,
                       raw_logs: bool = False) -> pd.DataFrame:
     """Route every not-yet-completed input partition; returns lineage
     (one row per partition × sink).
 
-    The route stage is a plain task (``_fused_route_task``), so Ray
-    Data FUSES the parquet read with it into one task
-    (``ReadParquet->MapBatches``) and the heavy tokens column goes
-    disk → task heap → sink file without ever entering the object
-    store; ``batch_size=None`` keeps whole read blocks as batches
-    (no coalesce barrier), so each read block is one writer call and
-    one file per sink.  A Parquet wave is read in
+    A wave is ``analyze.classify`` (the report's classify → redact →
+    enrich task) followed by ``RouterWriter``, both plain tasks, so Ray
+    Data FUSES them with the read into one task
+    (``ReadParquet->MapBatches(_chain_task)->MapBatches(RouterWriter)``;
+    for raw logs the read and ``parse_batch`` lead) and the heavy
+    tokens column goes disk → task heap → sink file without ever
+    entering the object store.  Ray gathers the classified batches of
+    a read block into one block before the writer runs, so each read
+    block is one writer call and one file per sink.  A Parquet wave is
+    read in
     ``util.read_blocks(wave, session_cpus())`` blocks unless
     ``override_num_blocks`` is given: one per CPU or per file, none
     below Ray's minimum block size.  Raw logs are read one block per
@@ -375,7 +288,16 @@ def route_partitioned(input_files: list[str], out_dir: str, *,
     commits the manifest after each wave, so a killed job loses at most
     one in-flight wave instead of the whole run. Each wave is its own
     pipeline (~1-2 s fixed cost), so size waves to hundreds of files on
-    long jobs; ``None`` (default) = single wave, used by short benches."""
+    long jobs; ``None`` (default) = single wave, used by short benches.
+
+    The partition id is the input's basename stem, so two inputs with
+    the same stem (``a/events.parquet``, ``b/events.parquet``) would
+    share one manifest entry and output dir: that raises ``ValueError``
+    before anything is cleared or written."""
+    pids = [_partition_id(p) for p in input_files]
+    if len(set(pids)) != len(pids):
+        raise ValueError("two route inputs share a partition id "
+                         "(the basename stem)")
     os.makedirs(_manifest_dir(out_dir), exist_ok=True)
     done = completed_partitions(out_dir)
     todo = [p for p in input_files if _partition_id(p) not in done]
@@ -394,8 +316,6 @@ def route_partitioned(input_files: list[str], out_dir: str, *,
     for w0 in range(0, len(todo), step):
         wave = todo[w0:w0 + step]
         lin = _route_wave(wave, out_dir, redact=redact,
-                          batch_size=batch_size,
-                          filter_config=filter_config, ns_filter=ns_filter,
                           override_num_blocks=override_num_blocks,
                           raw_logs=raw_logs)
         _commit_wave(wave, lin, out_dir)

@@ -43,6 +43,7 @@ import functools
 import gzip
 import hashlib
 import json
+import math
 import os
 import re
 
@@ -646,7 +647,12 @@ def _parse_ts(ts: pa.Array) -> pa.Array:
 
 
 def _num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # json.loads reads NaN/Infinity as non-finite floats, where
+    # org.json keeps the bare tokens as strings and getInt throws on
+    # them; an overflowing literal (1e400 → inf) takes the same path
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _errors(doc, attr) -> tuple:

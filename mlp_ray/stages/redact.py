@@ -6,8 +6,8 @@ redaction with ±1 sort-direction preservation :975-1014, smart regex
 redaction :367-382, ``sanitizeFilter`` :721-736) from scratch.  The
 walk is inherently per-record (arbitrary nested JSON), so it is a
 callable class: regexes compiled and preserve sets built once in
-``__init__`` (one instance per worker process, ``analyze._CHAIN_CACHE``
-and ``route._FUSED_CACHE``), batches processed in ``__call__``.
+``__init__`` (one instance per worker process and ``redact`` flag,
+``analyze._CHAIN_CACHE``), batches processed in ``__call__``.
 
 Adds columns:
   sanitized_query — redacted canonical filter JSON (or raw when

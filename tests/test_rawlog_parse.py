@@ -212,3 +212,28 @@ def test_unholdable_attr_value_is_null(attr, bad, good, col):
     # err_code2 is int64 and holds the code; doc_id hashes the line
     other = set(out.column_names) - {col, "err_code2", "doc_id"}
     assert {k: got[k] for k in other} == {k: want[k] for k in other}
+
+
+@pytest.mark.parametrize("attr,bad", [
+    ('"ok":%s', "NaN"),
+    ('"ok":%s', "Infinity"),
+    ('"ok":%s', "-Infinity"),
+    ('"ok":%s', "1e400"),
+    ('"ok":0,"errCode":%s', "NaN"),
+    ('"error":{"code":%s,"codeName":"X"}', "Infinity"),
+])
+def test_non_finite_error_number_is_a_type_mismatch(attr, bad):
+    """A non-finite ``ok``/``errCode``/``error.code`` parses like a
+    string there (the reference's ``getInt`` throws on both): the line
+    stays ``ok``, and a clean line in the same batch is unchanged."""
+    clean = SLOW % '"ok":1'
+    out = rawlog.parse_batch(pa.table({
+        "text": [clean, SLOW % (attr % bad), SLOW % (attr % '"x"')],
+        "path": ["a.log"] * 3}))
+    row0, got, want = out.to_pylist()
+    assert got["parse_status"] == "ok"
+    del got["doc_id"], want["doc_id"]
+    assert got == want
+    alone = rawlog.parse_batch(pa.table({"text": [clean],
+                                         "path": ["a.log"]}))
+    assert row0 == alone.to_pylist()[0]

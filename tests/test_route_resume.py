@@ -104,6 +104,55 @@ def test_crash_midrun_resumes_committed_waves(fixture_paths, tmp_path,
         cdf.loc[cdf["r_ops"], "doc_id"])
 
 
+def test_route_rejects_inputs_sharing_a_partition_id(fixture_paths,
+                                                    tmp_path):
+    """Two inputs with the same basename would share one partition id,
+    so a resume would skip the second as done: route raises before it
+    clears or writes anything."""
+    import shutil
+
+    import pytest
+
+    d1, d2 = tmp_path / "shard0", tmp_path / "shard1"
+    d1.mkdir(), d2.mkdir()
+    shutil.copy(fixture_paths[0], d1 / "events.parquet")
+    shutil.copy(fixture_paths[1], d2 / "events.parquet")
+    paths = [str(d1 / "events.parquet"), str(d2 / "events.parquet")]
+    out = str(tmp_path / "routed")
+    route.route_partitioned(paths[:1], out)
+    before = _routed_doc_ids(out, "slow_ops")
+    man = route.completed_partitions(out)
+    with pytest.raises(ValueError):
+        route.route_partitioned(paths, out)
+    assert route.completed_partitions(out) == man
+    assert _routed_doc_ids(out, "slow_ops") == before
+
+
+def test_route_redact_flag_matches_classify(fixture_paths, tmp_path):
+    """Route and the report share the classify stage and its
+    per-worker cache under both ``redact`` keys: routed
+    ``sanitized_query`` equals ``analyze.classify``'s, per doc_id."""
+    import pandas as pd
+
+    from mlp_ray.pipelines import analyze
+
+    cols = ["doc_id", "sanitized_query"]
+    got = {}
+    for redact in (True, False):
+        out = str(tmp_path / f"redact{int(redact)}")
+        route.route_partitioned(fixture_paths, out, redact=redact)
+        routed = (pq.read_table(os.path.join(out, "slow_ops"), columns=cols)
+                  .to_pandas().sort_values("doc_id", ignore_index=True))
+        cdf = analyze.classify(analyze.load_events(fixture_paths),
+                               redact=redact).select_columns(
+            cols + ["r_ops"]).to_pandas()
+        want = (cdf.loc[cdf["r_ops"], cols]
+                .sort_values("doc_id", ignore_index=True))
+        pd.testing.assert_frame_equal(routed, want)
+        got[redact] = routed
+    assert not got[True].equals(got[False])
+
+
 def test_route_raw_logs_end_to_end(tmp_path):
     """Raw JSONL logs route straight to partitioned sinks (parse fused
     into the route task); the manifest resumes by log file, and the
