@@ -29,7 +29,7 @@ from ..aggs.fold import ordered_group_by
 from ..stages.classify import classify_batch
 from ..stages.enrich import NsEnricher
 from ..stages.redact import Redactor
-from ..util import read_blocks, session_cpus
+from ..util import file_sizes, read_blocks, session_cpus
 
 # Narrow attribute columns needed by classify + all sinks — the token
 # payload is deliberately NOT read for aggregation-only runs (prune at
@@ -215,8 +215,13 @@ def conn_events(batch: pa.Table) -> pa.Table:
 
 
 # --- single-pass multi-sink report ------------------------------------
+# estimated input bytes above which mode="auto" merges distributed
+DRIVER_MERGE_MAX_BYTES = 256 << 20
+
+
 def _est_input_bytes(paths, ds) -> int | None:
-    import os
+    """In-memory bytes of the input, or None when it cannot be sized
+    (which picks the distributed merge)."""
     try:
         files = ([paths] if isinstance(paths, str) else list(paths)) \
             if paths else (ds.input_files() if ds is not None else None)
@@ -224,27 +229,13 @@ def _est_input_bytes(paths, ds) -> int | None:
         return None
     if not files:
         return None
-    total = 0
-    for f in files:
-        try:
-            if os.path.isdir(f):
-                # a directory entry's own size (~4 KB) would defeat the
-                # gate — sum the files under it instead
-                for root, _dirs, names in os.walk(f):
-                    for n in names:
-                        total += _one_file_bytes(os.path.join(root, n))
-            else:
-                total += _one_file_bytes(f)
-        except OSError:
-            return None
-    return total
-
-
-def _one_file_bytes(f: str) -> int:
-    import os
-    sz = os.path.getsize(f)
+    try:
+        sizes = file_sizes(files)
+    except (OSError, ValueError):
+        return None
     # compressed text expands ~8× into memory
-    return sz * 8 if f.endswith((".gz", ".zip")) else sz
+    return sum(sz * 8 if f.endswith((".gz", ".zip")) else sz
+               for f, sz in sizes.items())
 
 
 def _sorted_counts(t: pa.Table, key: str, cnt: str = "count") -> pa.Table:
@@ -532,7 +523,6 @@ def run_full_analysis(paths, *, redact: bool = True,
                       ds: rd.Dataset | None = None,
                       mode: str = "auto", shards: bool = False,
                       exclude: set[str] | frozenset = frozenset(),
-                      driver_merge_max_bytes: int = 256 << 20,
                       p95_mode: str = "auto", raw: bool = False,
                       payload_driver_max_bytes: int | None = None
                       ) -> dict[str, pd.DataFrame]:
@@ -542,7 +532,7 @@ def run_full_analysis(paths, *, redact: bool = True,
     ONE streaming pass (``aggs.multifold``) computes every sink's
     partials — no ``materialize()`` of the classified corpus, no
     per-sink re-scans.  ``mode="auto"`` merges driver-side below
-    ``driver_merge_max_bytes`` of estimated input (partials are
+    ``DRIVER_MERGE_MAX_BYTES`` of estimated input (partials are
     groups × blocks — skips the shuffle latency floor) and switches to
     the distributed (sink, key-bucket) merge above it, where exact-p95
     partials carrying raw value arrays would otherwise converge on
@@ -563,7 +553,7 @@ def run_full_analysis(paths, *, redact: bool = True,
     if mode == "auto":
         est = _est_input_bytes(paths, ds)
         mode = ("driver" if est is not None
-                and est <= driver_merge_max_bytes else "distributed")
+                and est <= DRIVER_MERGE_MAX_BYTES else "distributed")
     if p95_mode == "auto":
         p95_mode = "sketch" if mode == "distributed" else "exact"
     if ds is None:

@@ -14,8 +14,9 @@ full cluster parallelism — rather than one mini-pipeline per file.
 Resume semantics (north rule "checkpoints completed partitions so a
 killed job resumes without reprocessing"):
   * partition = one input file (at 100 TB the input is many files, so
-    file granularity is the natural resume unit), named by its
-    basename stem, so input basenames must be distinct;
+    file granularity is the natural resume unit; a zip archive is one
+    partition whatever it is named), named by its basename stem, so
+    input basenames must be distinct;
   * a partition's outputs live under ``<sink>/part=<pid>/``;
   * completion is recorded as an atomic (tmp+rename) JSONL commit file
     ``_manifest/commit-*.jsonl`` — one line per completed partition —
@@ -69,14 +70,9 @@ ROUTES: dict[str, tuple[str, list[str]]] = {
 
 
 def _partition_id(path: str) -> str:
-    # zip members carry "archive.zip!member" paths — the resume unit is
-    # the ARCHIVE file, so strip the member suffix before deriving the
-    # partition id (writer, manifest, and stale-cleanup must agree).
-    # Only the ".zip!" form is a member marker: a '!' elsewhere in a
-    # directory or file name must NOT collapse distinct inputs into a
-    # shared partition id.
-    if ".zip!" in path:
-        path = path.split(".zip!", 1)[0] + ".zip"
+    # the input file's basename stem: a zip member's rows carry the
+    # archive they were read from as their path, so the writer, the
+    # manifest and the stale cleanup all name the archive
     return os.path.splitext(os.path.basename(path))[0]
 
 

@@ -1,11 +1,12 @@
-"""Raw MongoDB structured-log (JSONL, optionally gzipped) ingestion.
+"""Raw MongoDB structured-log (JSONL: plain, gzip or zip) ingestion.
 
 The reference's native input is newline-delimited JSON log files read
 with transparent gzip/zip decompression and a 1 MB line cap
 (``LogParser.java:793-808`` createReader, ``:815-894`` readLineSafe).
 This module provides the same front door for the Ray engine:
 
-  read_raw_logs(paths) → Dataset[text(+path)]
+  read_raw_logs(paths) → Dataset[text, path, member]
+    (one datasource, one read task per file: sniff, inflate, split)
     → map_batches(parse_batch)  → the classified-event schema
     → …rest of the pipeline unchanged (classify → route → sinks)
 
@@ -34,7 +35,8 @@ spending its per-line cost only where the reference needs it:
     (``readLineSafe`` drops, we keep the tag for the stats sink).
 
 Shard lineage (``ShardInfo.java:28-41``): ``shard-XX-YY`` extracted
-from the file path into ``source`` (J2 enrichment).
+from the file path (``archive!member`` for a zip member) into
+``source`` (J2 enrichment).
 """
 
 from __future__ import annotations
@@ -100,110 +102,67 @@ def _ignore_category(line: str) -> str:
 _GZIP_MAGIC = b"\x1f\x8b"
 _ZIP_MAGIC = b"PK\x03\x04"
 
-_FILTER_CONFIG = None
 
-
+@functools.cache
 def _default_filter_config():
     """Default ignore blacklist (FilterConfig.java:20-71), built once
-    per process.  ``set_filter_config`` swaps it for a properties-file
-    config (the reference's ``--config``)."""
-    global _FILTER_CONFIG
-    if _FILTER_CONFIG is None:
-        from ..stages.filters import FilterConfig, RAW_LINE_IGNORE_PATTERNS
-        _FILTER_CONFIG = FilterConfig(patterns=RAW_LINE_IGNORE_PATTERNS)
-    return _FILTER_CONFIG
+    per process."""
+    from ..stages.filters import FilterConfig, RAW_LINE_IGNORE_PATTERNS
+    return FilterConfig(patterns=RAW_LINE_IGNORE_PATTERNS)
 
 
-def set_filter_config(cfg) -> None:
-    global _FILTER_CONFIG
-    _FILTER_CONFIG = cfg
+def _inflate(f: pa.NativeFile) -> bytes:
+    """Whole content of a seekable file, streamed through Arrow's gzip
+    codec when its first bytes are the gzip magic."""
+    f.seek(0)
+    gz = f.read(2) == _GZIP_MAGIC
+    f.seek(0)
+    return (pa.CompressedInputStream(f, "gzip") if gz else f).read()
 
 
-def _content_kind(path: str) -> str:
-    """``gzip`` / ``zip`` / ``plain`` by MAGIC BYTES, not extension —
-    a gzipped file named ``.log`` must still decompress
-    (``MimeTypes.java:34-41,251`` content sniff).  Falls back to the
-    extension when the path isn't locally readable (remote stores:
-    sniffing would pull a byte range per file; extension is the
-    reference's own ``guessContentTypeFromName`` fallback)."""
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(4)
-    except OSError:
-        if path.endswith(".zip"):
-            return "zip"
-        return "gzip" if path.endswith(".gz") else "plain"
-    if head[:2] == _GZIP_MAGIC:
-        return "gzip"
-    if head[:4] == _ZIP_MAGIC:
-        return "zip"
-    return "plain"
+def _lines(data: bytes, member: str | None) -> pa.Table:
+    """The one line rule for every file and zip member: an invalid
+    UTF-8 byte becomes U+FFFD and its line is counted, never raised;
+    blank and whitespace-only lines are dropped, as ``read_text``'s
+    ``drop_empty_lines`` default does."""
+    text = data.decode("utf-8", errors="replace")
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    return pa.table({"text": pa.array(lines, pa.string()),
+                     "member": pa.array([member] * len(lines), pa.string())})
 
 
-def _zip_lines(row: dict) -> list[dict]:
-    """One zip archive → (text, path) rows; path carries the member
-    name so shard lineage still resolves (``MimeTypes.java:251`` zip
-    branch).  A member is decompressed by exactly one task — zip has
-    no splittable stream, the same constraint the reference has."""
-    import io
+def read_raw_logs(paths, *, override_num_blocks=None):
+    """Dataset of raw lines (``text``) with the input file they came
+    from (``path``) and, for a zip archive, the member (``member``,
+    null otherwise).  One read task per file sniffs its first bytes
+    (``MimeTypes.java:34-41,251``), so a gzip or zip named ``.log``
+    decompresses and a plain file named ``.gz`` reads as text: gzip is
+    inflated by Arrow's streaming codec, a zip archive is opened over
+    the random-access file and read member by member (gzip members
+    sniffed too).  A member is decompressed by exactly one task; zip
+    has no splittable stream, the same constraint the reference has."""
     import zipfile
 
-    out = []
-    with zipfile.ZipFile(io.BytesIO(row["bytes"])) as zf:
-        for name in zf.namelist():
-            if name.endswith("/"):
-                continue
-            data = zf.read(name)
-            if data[:2] == _GZIP_MAGIC:  # nested member, sniffed too
-                data = gzip.decompress(data)
-            for line in data.decode("utf-8", errors="replace").splitlines():
-                out.append({"text": line, "path": f"{row['path']}!{name}"})
-    return out
-
-
-def _text_files(paths: list[str], codec: str | None):
-    """(text, path) rows of whole files, one block per file.  The
-    stream is decompressed with ``codec`` — the sniffed content, not
-    the extension (Ray's ``read_text`` would gunzip a plain file named
-    ``.gz``) — and decoded the way ``_zip_lines`` does: an invalid
-    UTF-8 byte becomes U+FFFD and its line is counted, never raised.
-    Blank and whitespace-only lines are dropped, as ``read_text``'s
-    ``drop_empty_lines`` default does."""
+    import ray.data as rd
     from ray.data.datasource import FileBasedDatasource
 
     class LogText(FileBasedDatasource):
         def _open_input_source(self, filesystem, path, **open_args):
-            return filesystem.open_input_stream(path, compression=codec)
+            return filesystem.open_input_file(path)
 
         def _read_stream(self, f, path):
-            text = f.readall().decode("utf-8", errors="replace")
-            lines = [ln for ln in text.splitlines() if ln.strip()]
-            yield pa.table({"text": pa.array(lines, pa.string())})
+            f.seek(0)
+            if f.read(4) != _ZIP_MAGIC:
+                yield _lines(_inflate(f), None)
+                return
+            with zipfile.ZipFile(f) as zf:
+                for name in zf.namelist():
+                    if not name.endswith("/"):
+                        yield _lines(_inflate(pa.BufferReader(
+                            zf.read(name))), name)
 
-    return LogText(paths, include_paths=True)
-
-
-def read_raw_logs(paths, *, override_num_blocks=None):
-    """Dataset of raw lines with their file path; gzip/zip detected by
-    content sniffing (magic bytes, MimeTypes.java:34-41) with an
-    extension fallback; ``.zip`` archives expanded per member."""
-    import ray.data as rd
-
-    paths = [paths] if isinstance(paths, str) else list(paths)
-    kinds = {p: _content_kind(p) for p in paths}
-    parts = []
-    for kind, codec in (("plain", None), ("gzip", "gzip")):
-        files = [p for p in paths if kinds[p] == kind]
-        if files:
-            parts.append(rd.read_datasource(
-                _text_files(files, codec),
-                override_num_blocks=override_num_blocks))
-    zips = [p for p in paths if kinds[p] == "zip"]
-    if zips:
-        parts.append(rd.read_binary_files(zips, include_paths=True)
-                     .flat_map(_zip_lines))
-    ds = parts[0]
-    return ds.union(*parts[1:]) if len(parts) > 1 else ds
+    return rd.read_datasource(LogText(paths, include_paths=True),
+                              override_num_blocks=override_num_blocks)
 
 
 def shard_from_path(path: str) -> str:
@@ -346,6 +305,14 @@ def parse_batch(batch: pa.Table) -> pa.Table:
     path_arr = (_whole(pc.cast(batch["path"], pa.string()))
                 if "path" in batch.column_names
                 else pa.array([""] * n, pa.string()))
+    # a zip member's lines are identified by ``archive!member``; the
+    # row's ``path`` stays the input file it was read from
+    key_arr = path_arr
+    if "member" in batch.column_names:
+        member = _whole(batch["member"])
+        key_arr = pc.if_else(pc.is_null(member), path_arr,
+                             pc.binary_join_element_wise(path_arr, member,
+                                                         "!"))
     text_py = text.to_pylist()
 
     # S3: 1 MB cap — payload dropped, line counted
@@ -387,17 +354,17 @@ def parse_batch(batch: pa.Table) -> pa.Table:
     # deterministic tie-break/order key downstream).  Byte-identical
     # duplicate lines in one file share an id — they are
     # indistinguishable rows, so ties resolve to the same value.
-    by_path = pc.dictionary_encode(path_arr)
-    path_keys = by_path.dictionary.to_pylist()
-    prefix = [p + "|" for p in path_keys]
+    by_key = pc.dictionary_encode(key_arr)
+    keys = by_key.dictionary.to_pylist()
+    prefix = [k + "|" for k in keys]
     out["doc_id"] = pa.array(
         ["raw" + hashlib.blake2b((prefix[i] + t).encode(),
                                  digest_size=8).hexdigest()
-         for i, t in zip(by_path.indices.to_pylist(), text_py)],
+         for i, t in zip(by_key.indices.to_pylist(), text_py)],
         pa.string())
-    # shard lineage: one lookup per distinct path
-    out["source"] = pa.array([shard_from_path(p) for p in path_keys],
-                             pa.string()).take(by_path.indices)
+    # shard lineage: one lookup per distinct file or member
+    out["source"] = pa.array([shard_from_path(k) for k in keys],
+                             pa.string()).take(by_key.indices)
     out["component"] = env["component"]
     out["msg"] = env["msg"]
     # "Connection accepted" lines pair by "conn"+attr.connectionId

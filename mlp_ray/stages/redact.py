@@ -155,9 +155,17 @@ PRESERVE_PATHS = frozenset(
     | {f"attr.originatingCommand.{p}" for p in _COMMAND_SCALARS}
 )
 
+# the redact stage reads the raw filter column and appends its
+# sanitized form; its memo holds at most _CACHE_CAP distinct filters
+_SOURCE_COL = "raw_filter_json"
+_OUT_COL = "sanitized_query"
+_CACHE_CAP = 1 << 16
+
 
 class Redactor:
-    """Actor-pool stage: raw_filter_json → sanitized_query + shape_hash."""
+    """Redact stage: raw_filter_json → sanitized_query + shape_hash,
+    run once per worker process by the report's and the router's
+    classify chain (``analyze.apply_stage_chain``)."""
 
     # Keys whose values are preserved verbatim (reference PRESERVE_FIELDS
     # spirit, LogRedactionUtil.java:29-63): envelope/temporal markers.
@@ -167,18 +175,14 @@ class Redactor:
     HOST_KEYS = frozenset({"host", "remote", "syncSource"})
     REGEX_META = set("^$.*+?()[]{}|\\")
 
-    def __init__(self, enabled: bool = True, source_col: str = "raw_filter_json",
-                 out_col: str = "sanitized_query", cache_cap: int = 1 << 16):
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.source_col = source_col
-        self.out_col = out_col
         self._alnum_run = re.compile(r"[A-Za-z0-9_]+")
         self._digits = re.compile(r"\d")
-        # actor-lifetime memo: query shapes repeat massively, so the
+        # worker-lifetime memo: query shapes repeat massively, so the
         # expensive JSON parse+walk runs once per DISTINCT raw filter
         # (bounded so a pathological all-unique stream can't OOM)
         self._cache: dict[str, tuple[str, str]] = {}
-        self._cache_cap = cache_cap
 
     # -- scalar rules ---------------------------------------------------
     def redact_string(self, s: str) -> str:
@@ -207,34 +211,6 @@ class Redactor:
             return "xxx"
         return self._alnum_run.sub("xxx", pat)
 
-    # -- recursive walk (redactLogMessage :180-232) ---------------------
-    def _walk(self, node, parent_key: str | None = None):
-        if isinstance(node, dict):
-            out = {}
-            for k, v in node.items():
-                if k in self.PRESERVE_VALUE_KEYS:
-                    out[k] = v
-                elif k in self.HOST_KEYS and isinstance(v, str):
-                    out[k] = redact_atlas_hostname(v)
-                elif k == "$regularExpression" and isinstance(v, dict):
-                    out[k] = {
-                        "pattern": self.redact_regex_pattern(
-                            str(v.get("pattern", ""))),
-                        "options": v.get("options", ""),
-                    }
-                else:
-                    out[k] = self._walk(v, k)
-            return out
-        if isinstance(node, list):
-            return [self._walk(x, parent_key) for x in node]
-        if isinstance(node, str):
-            return self.redact_string(node)
-        if isinstance(node, bool) or node is None:
-            return node
-        if isinstance(node, (int, float)):
-            return self.redact_number(node)
-        return node
-
     # -- whole-log-message walk (redactLogMessage
     # LogRedactionUtil.java:67-232) -------------------------------------
     def redact_log_message(self, doc: dict) -> dict:
@@ -244,16 +220,16 @@ class Redactor:
         ``$date``/``$oid``/``$timestamp`` markers kept, everything else
         falls to the string/number rules.  Key names and structure are
         always preserved; arrays do not extend the path."""
-        return self._walk_path(doc, "")
+        return self._walk(doc, "")
 
-    def _walk_path(self, node, path: str):
+    def _walk(self, node, path: str | None):
+        # ``path`` is the dotted path of ``node``; None turns the
+        # PRESERVE_PATHS check off (``sanitize``'s filter walk)
         if isinstance(node, dict):
             out = {}
             for k, v in node.items():
-                p = f"{path}.{k}" if path else k
-                if p in PRESERVE_PATHS:
-                    out[k] = v
-                elif k in self.PRESERVE_VALUE_KEYS:
+                p = None if path is None else f"{path}.{k}" if path else k
+                if p in PRESERVE_PATHS or k in self.PRESERVE_VALUE_KEYS:
                     out[k] = v
                 elif k in self.HOST_KEYS and isinstance(v, str):
                     out[k] = redact_atlas_hostname(v)
@@ -264,10 +240,10 @@ class Redactor:
                         "options": v.get("options", ""),
                     }
                 else:
-                    out[k] = self._walk_path(v, p)
+                    out[k] = self._walk(v, p)
             return out
         if isinstance(node, list):
-            return [self._walk_path(x, path) for x in node]
+            return [self._walk(x, path) for x in node]
         if isinstance(node, str):
             return self.redact_string(node)
         if isinstance(node, bool) or node is None:
@@ -298,7 +274,8 @@ class Redactor:
             doc = json.loads(raw)
         except (ValueError, TypeError):
             return '{"sanitization_error": "xxx"}'
-        return json.dumps(self._walk(doc), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self._walk(doc, None), sort_keys=True,
+                          separators=(",", ":"))
 
     def _sanitize_cached(self, raw: str) -> tuple[str, str]:
         hit = self._cache.get(raw)
@@ -306,31 +283,31 @@ class Redactor:
             s = self.sanitize(raw)
             h = hashlib.blake2b(s.encode(), digest_size=4).hexdigest()
             hit = (s, h)
-            if len(self._cache) < self._cache_cap:
+            if len(self._cache) < _CACHE_CAP:
                 self._cache[raw] = hit
         return hit
 
     def redact_fragment(self, doc, root: str = "attr"):
         """Redact a log-message FRAGMENT (e.g. a trimmed ``attr``
         payload) with the preserve-path walk anchored at ``root``."""
-        return self._walk_path(doc, root)
+        return self._walk(doc, root)
 
     # -- batch entry ----------------------------------------------------
     def __call__(self, batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return (batch.append_column(self.out_col, pa.nulls(0, pa.string()))
+            return (batch.append_column(_OUT_COL, pa.nulls(0, pa.string()))
                     .append_column("shape_hash", pa.nulls(0, pa.string())))
-        col = batch[self.source_col]
+        col = batch[_SOURCE_COL]
         arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
         # dictionary-encode so the recursive walk runs once per distinct
-        # raw filter per batch (plus the actor-lifetime memo above);
+        # raw filter per batch (plus the worker-lifetime memo above);
         # null indices propagate nulls through take
         enc = arr.dictionary_encode()
         pairs = [self._sanitize_cached(v)
                  for v in enc.dictionary.to_pylist()]
         san = pa.array([p[0] for p in pairs], pa.string()).take(enc.indices)
         hsh = pa.array([p[1] for p in pairs], pa.string()).take(enc.indices)
-        return (batch.append_column(self.out_col, san)
+        return (batch.append_column(_OUT_COL, san)
                 .append_column("shape_hash", hsh))
 
 

@@ -155,12 +155,30 @@ def _arrow_key_hash(col) -> np.ndarray:
     return hv
 
 
+def file_sizes(paths) -> dict[str, int]:
+    """Size of every file named by ``paths`` (files or directories,
+    resolved as Ray Data's readers resolve them); raises
+    ``FileNotFoundError`` for a path that does not exist."""
+    from pyarrow.fs import FileSelector, FileType
+    from ray.data.datasource.path_util import _resolve_paths_and_filesystem
+
+    paths, fs = _resolve_paths_and_filesystem(paths)
+    sizes = {}
+    for info in fs.get_file_info(paths):
+        if info.type == FileType.NotFound:
+            raise FileNotFoundError(info.path)
+        infos = (fs.get_file_info(FileSelector(info.path, recursive=True))
+                 if info.type == FileType.Directory else [info])
+        sizes.update((i.path, i.size) for i in infos
+                     if i.type == FileType.File)
+    return sizes
+
+
 def read_blocks(paths, cpus: int) -> int:
     """Read block count for a Parquet input of ``paths`` (files or
-    directories, resolved as Ray Data's readers resolve them) in a
-    session of ``cpus`` CPUs: one block per CPU or per file, whichever
-    is more, but no block below Ray Data's ``target_min_block_size``
-    and never fewer than one.
+    directories) in a session of ``cpus`` CPUs: one block per CPU or
+    per file, whichever is more, but no block below Ray Data's
+    ``target_min_block_size`` and never fewer than one.
 
     The reference sizes work the same way, by data and by machine
     (25,000-line chunks on ``availableProcessors`` threads,
@@ -168,18 +186,12 @@ def read_blocks(paths, cpus: int) -> int:
     (``read_op_min_num_blocks`` = 200, floored at the minimum block
     size) cuts one 4 MB file into 13-16 blocks, and each block is its
     own route task that writes one file per routed sink."""
-    from pyarrow.fs import FileSelector, FileType
     from ray.data import DataContext
-    from ray.data.datasource.path_util import _resolve_paths_and_filesystem
 
-    paths, fs = _resolve_paths_and_filesystem(paths)
-    sizes = []
-    for info in fs.get_file_info(paths):
-        infos = (fs.get_file_info(FileSelector(info.path, recursive=True))
-                 if info.type == FileType.Directory else [info])
-        sizes += [i.size for i in infos if i.type == FileType.File]
+    sizes = file_sizes(paths)
     min_block = DataContext.get_current().target_min_block_size
-    return max(1, min(max(cpus, len(sizes)), sum(sizes) // min_block))
+    return max(1, min(max(cpus, len(sizes)), sum(sizes.values())
+                      // min_block))
 
 
 def session_cpus() -> int:

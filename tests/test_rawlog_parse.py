@@ -17,7 +17,9 @@
   parser, so real-sized input is covered without committing it.
 * Invalid UTF-8 in a gzip or plain log file is decoded with
   replacement and counted, as it is for zip archives.
-* Blank and whitespace-only lines of a gzip or plain log are not rows.
+* Blank and whitespace-only lines of a gzip or plain log are not rows,
+  and one log body gives one report in every container (plain, gzip,
+  zip, a gzip member of a zip).
 * An attr value its column type cannot hold (``NaN``, ``Infinity``, an
   integer past 64 bits, a non-string ``appName``, an ``errCode`` past
   int32) is null on an otherwise kept ``ok`` line.
@@ -34,6 +36,7 @@ import json
 import os
 import zipfile
 
+import pandas as pd
 import pyarrow as pa
 import pytest
 
@@ -184,6 +187,49 @@ def test_blank_lines_are_not_rows(tmp_path):
     for p in (gz, plain):
         texts = [r["text"] for r in rawlog.read_raw_logs([str(p)]).take_all()]
         assert texts == [ln.decode() for ln in lines], p.name
+
+
+def test_same_report_whatever_the_container(tmp_path):
+    """One log body read as a plain log, a gzip (named ``.gz`` or
+    ``.log``) and a zip holding it plain or gzipped gives one report:
+    every container splits lines by the same rule, so blank and
+    whitespace-only lines are never rows.  A ``doc_id`` names its file,
+    so ``main_ops``' ``sample_doc_id`` is left out."""
+    from mlp_ray.pipelines import analyze
+
+    slow = ('{"t":{"$date":"2024-03-05T10:11:1%d.000+00:00"},"s":"I",'
+            '"c":"COMMAND","id":51803,"ctx":"conn7","msg":"Slow query",'
+            '"attr":{"type":"command","ns":"app.users",'
+            '"command":{"find":"u"},"appName":"svc","durationMillis":%d}}')
+    body = "\n".join(["", slow % (1, 150), "   ", "",
+                      slow % (2, 250), "\t"]).encode() + b"\n"
+    gz = gzip.compress(body, mtime=0)
+    inputs = {}
+    for kind, name, data in (("plain", "mongod.log", body),
+                             ("gz", "mongod.log.gz", gz),
+                             ("gz_named_log", "mongod.log", gz)):
+        os.makedirs(tmp_path / kind)
+        (tmp_path / kind / name).write_bytes(data)
+        inputs[kind] = tmp_path / kind / name
+    for kind, member, data in (("zip", "mongod.log", body),
+                               ("zip_gz_member", "mongod.log.gz", gz)):
+        os.makedirs(tmp_path / kind)
+        inputs[kind] = tmp_path / kind / "mongod.zip"
+        with zipfile.ZipFile(inputs[kind], "w") as zf:
+            zf.writestr(member, data)
+    reports = {}
+    for kind, p in inputs.items():
+        parsed = rawlog.read_raw_logs([str(p)]).map_batches(
+            rawlog.parse_batch, batch_format="pyarrow")
+        res = analyze.run_full_analysis(None, ds=parsed, raw=True)
+        res["main_ops"] = res["main_ops"].drop(columns="sample_doc_id")
+        reports[kind] = res
+    assert int(reports["plain"]["processing_stats"].iloc[0]
+               ["total_lines"]) == 2
+    for kind, res in reports.items():
+        for table in ("processing_stats", "ignored", "main_ops"):
+            pd.testing.assert_frame_equal(
+                res[table], reports["plain"][table], obj=f"{kind} {table}")
 
 
 SLOW = ('{"t":{"$date":"2024-03-05T10:11:12.345+00:00"},"s":"I",'

@@ -218,6 +218,41 @@ def test_route_raw_zip_partition_identity(tmp_path):
     assert route.route_partitioned([str(zpath)], out, raw_logs=True).empty
 
 
+def test_route_zip_not_named_zip_reroutes_by_archive(tmp_path):
+    """A zip archive named ``.log`` is read by content, and its rows
+    route under the archive's partition id: output dir, lineage and
+    manifest agree, so an invalidated archive re-routes without
+    keeping its stale rows."""
+    import zipfile
+    from mlp_ray import synth
+    from mlp_ray.sources import rawlog
+
+    lines = rawlog.render_lines(synth.generate_events_tok(400, seed=21,
+                                                          tok_mean=8))
+
+    def write_zip(path, body):
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("cluster0-shard-02-00.log", "\n".join(body) + "\n")
+
+    zpath = tmp_path / "cluster0-shard-02-00.log"
+    write_zip(zpath, lines)
+    out = str(tmp_path / "routed")
+    lin = route.route_partitioned([str(zpath)], out, raw_logs=True)
+    assert set(lin["partition_id"]) == {"cluster0-shard-02-00"}
+    assert os.listdir(os.path.join(out, "slow_ops")) == [
+        "part=cluster0-shard-02-00"]
+    (rec,) = route.completed_partitions(out).values()
+    assert rec["partition_id"] == "cluster0-shard-02-00" and rec["sinks"]
+
+    write_zip(zpath, lines[:200])
+    route.invalidate_partitions(out, ["cluster0-shard-02-00"])
+    route.route_partitioned([str(zpath)], out, raw_logs=True)
+    fresh = str(tmp_path / "fresh")
+    route.route_partitioned([str(zpath)], fresh, raw_logs=True)
+    assert route.read_sink(out, "slow_ops").count() \
+        == route.read_sink(fresh, "slow_ops").count()
+
+
 def _norm(df):
     import pandas as pd
 
