@@ -219,6 +219,23 @@ def merge_payloads(payload, jobs: dict[str, SinkJob], *,
     return merge_payload_ds(pm, jobs)
 
 
+def emit_payloads(cds, emit, batch_size: int = 32768):
+    """``cds`` mapped through ``emit`` → the Dataset of payload rows, in
+    input order: the merge keeps groups in first-appearance order, so
+    rows taken in the order blocks finish would let the same input give
+    tables in another row order.  ``preserve_order`` is set on a copy
+    of the chain's context, so ``cds`` and the Datasets it came from
+    keep their own (Ray shares one context along a chain)."""
+    import ray.data as rd
+
+    payload = rd.Dataset.copy(
+        cds.map_batches(emit, batch_format="pyarrow",
+                        batch_size=batch_size, zero_copy_batch=True),
+        _deep_copy=True)
+    payload.context.execution_options.preserve_order = True
+    return payload
+
+
 def run_multi_fold(cds, jobs: dict[str, SinkJob], *,
                    mode: str = "driver", batch_size: int = 32768,
                    num_buckets: int = 16,
@@ -236,10 +253,12 @@ def run_multi_fold(cds, jobs: dict[str, SinkJob], *,
     core-time and 3 task waves; per-block batches (~5 k rows) fix the
     UDF cost but triple the partial rows the merge must reduce.  32768
     is the measured knee: full task fan-out, near-minimal UDF time,
-    partial volume within 2× of the floor."""
-    emit = make_emit(jobs, mode, num_buckets)
-    payload = cds.map_batches(emit, batch_format="pyarrow",
-                              batch_size=batch_size, zero_copy_batch=True)
+    partial volume within 2× of the floor.
+
+    Tables come out in the same row order however many CPUs run the
+    blocks (``emit_payloads``); ``cds``'s own context is not changed."""
+    payload = emit_payloads(cds, make_emit(jobs, mode, num_buckets),
+                            batch_size)
     if mode == "driver":
         return merge_payload_rows(payload.to_pandas(), jobs)
     return merge_payloads(payload, jobs, salt=salt,

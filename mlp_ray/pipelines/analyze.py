@@ -653,7 +653,8 @@ def run_full_analysis_resumable(paths, work_dir: str, *,
 
     import ray
 
-    from ..aggs.multifold import PAYLOAD_FORMAT, make_emit, merge_payloads
+    from ..aggs.multifold import (PAYLOAD_FORMAT, emit_payloads, make_emit,
+                                  merge_payloads)
 
     jobs = _analysis_jobs(by_shard=shards, exclude=exclude,
                           p95_mode=p95_mode, raw=raw)
@@ -678,10 +679,9 @@ def run_full_analysis_resumable(paths, work_dir: str, *,
         cds = classify(load_events([p]), redact=redact,
                        filter_config=filter_config, ns_filter=ns_filter)
         tbl = pa.concat_tables([_PARTIALS_SCHEMA.empty_table()] + [
-            t.cast(_PARTIALS_SCHEMA) for t in cds.map_batches(
-                emit, batch_format="pyarrow", batch_size=32768,
-                zero_copy_batch=True).iter_batches(
-                    batch_size=None, batch_format="pyarrow")])
+            t.cast(_PARTIALS_SCHEMA) for t in emit_payloads(
+                cds, emit).iter_batches(batch_size=None,
+                                        batch_format="pyarrow")])
         tmp = os.path.join(part_dir, f"{pid}.parquet.tmp-{os.getpid()}")
         pq.write_table(tbl, tmp)
         os.replace(tmp, os.path.join(part_dir, f"{pid}.parquet"))

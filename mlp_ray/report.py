@@ -1,5 +1,6 @@
-"""K3/K5 report layer: the reference's structured JSON report and
-console tables, built from the small final aggregate frames.
+"""K3/K4/K5 report layer: the reference's structured JSON report, its
+interactive HTML report and the console tables, built from the small
+final aggregate frames.
 
 Mirrors ``JsonReportGenerator.java:29-89`` — a metadata header plus one
 section per accumulator, every table sorted count-desc
@@ -7,11 +8,15 @@ section per accumulator, every table sorted count-desc
 (``:249-251``), operation-type stats carrying percentages
 (``:186-206``). R10 formatting helpers (bytes/duration → human,
 ``LogRedactionUtil.java:470-620``) live here because they are
-report-layer only."""
+report-layer only.  Records are built column by column; the JSON file
+keeps ``json.dump(indent=2)``'s bytes but is written from C-encoded
+values, and the HTML report builds only the rows it shows."""
 
 from __future__ import annotations
 
 import json
+import os
+from itertools import chain
 from typing import Any
 
 import pandas as pd
@@ -54,29 +59,54 @@ def _records(df: pd.DataFrame, *, sort_by: str | None = "count",
         df = df.sort_values(sort_by, ascending=False, kind="mergesort")
     if limit:
         df = df.head(limit)
-    out = df.to_dict("records")
-    for rec in out:  # strict-JSON-safe scalars: every NA flavor → null
-        for k, v in rec.items():
-            if v is None:
-                continue
-            if isinstance(v, pd.Timestamp):
-                rec[k] = None if pd.isna(v) else v.isoformat()
-                continue
-            try:
-                if pd.isna(v):  # covers float NaN, pd.NA, NaT
-                    rec[k] = None
-                    continue
-            except (TypeError, ValueError):
-                pass  # arrays/lists: leave as-is
-            if hasattr(v, "item"):
-                rec[k] = v.item()
-    return out
+    keys = df.columns.tolist()
+    return [dict(zip(keys, row))
+            for row in zip(*(_column(s) for _, s in df.items()))]
+
+
+def _column(s: pd.Series) -> list:
+    """One column → strict-JSON-safe Python scalars, every NA flavor →
+    None: numbers, booleans and strings in one ``tolist()`` plus one
+    null mask, anything else (timestamps too) cell by cell."""
+    if s.dtype.kind in "biuf" or isinstance(s.dtype, pd.StringDtype):
+        out = s.tolist()
+        for i in s.array.isna().nonzero()[0].tolist():
+            out[i] = None
+        return out
+    return [_cell(v) for v in s]
+
+
+def _cell(v: Any) -> Any:
+    if v is None or pd.api.types.is_list_like(v):
+        return v  # lists, arrays and dicts pass through
+    kind = getattr(getattr(v, "dtype", None), "kind", "")
+    if kind in ("M", "m"):  # numpy datetime64/timedelta64: box them
+        # as DataFrame.to_dict boxes object cells
+        v = (pd.Timestamp if kind == "M" else pd.Timedelta)(v)
+    if isinstance(v, pd.Timestamp):
+        return v.isoformat()
+    try:
+        if pd.isna(v):  # covers float NaN, pd.NA, NaT
+            return None
+    except (TypeError, ValueError):
+        pass
+    return v.item() if hasattr(v, "item") else v
 
 
 def build_report(results: dict[str, pd.DataFrame], *,
                  generated_at: str | None = None,
                  source_files: list[str] | None = None) -> dict[str, Any]:
     """Final aggregates → the reference-shaped JSON report document."""
+    return _build_report(results, None, generated_at=generated_at,
+                         source_files=source_files)
+
+
+def _build_report(results: dict[str, pd.DataFrame], limit: int | None, *,
+                  generated_at: str | None = None,
+                  source_files: list[str] | None = None) -> dict[str, Any]:
+    """``build_report`` with at most ``limit`` records per table (None:
+    all of them); summaries, totals and percentages still come from the
+    full frames."""
     main = results.get("main_ops", pd.DataFrame())
     qh = results.get("query_hash", pd.DataFrame())
     idx = results.get("index_stats", pd.DataFrame())
@@ -100,17 +130,16 @@ def build_report(results: dict[str, pd.DataFrame], *,
             "totalDurationMs": (float(main["sum_duration_ms"].sum())
                                 if "sum_duration_ms" in main else None),
         },
-        "operations": _records(main),
+        "operations": _records(main, limit=limit),
     }
-    report["ttlOperations"] = _records(results.get("ttl"))
+    report["ttlOperations"] = _records(results.get("ttl"), limit=limit)
 
     # operationTypeStats with percentages (JsonReportGenerator.java:186-206)
     if ops is not None and len(ops):
         total = int(ops["count"].sum())
-        rows = []
-        for rec in _records(ops):
+        rows = _records(ops, limit=limit)
+        for rec in rows:
             rec["percentage"] = round(rec["count"] * 100.0 / total, 2)
-            rows.append(rec)
         report["operationTypeStats"] = {"total": total, "types": rows}
     else:
         report["operationTypeStats"] = {"total": 0, "types": []}
@@ -127,9 +156,11 @@ def build_report(results: dict[str, pd.DataFrame], *,
                                   if "query_hash" in qh else 0),
         },
         # top-100 cap (JsonReportGenerator.java:249-251)
-        "queries": _records(qh, limit=TOP_QUERY_HASHES),
+        "queries": _records(qh, limit=min(
+            TOP_QUERY_HASHES, limit or TOP_QUERY_HASHES)),
     }
-    report["planCacheAnalysis"] = _records(results.get("plan_cache"))
+    report["planCacheAnalysis"] = _records(results.get("plan_cache"),
+                                           limit=limit)
 
     if len(idx) and {"sum_keys_examined", "sum_nret"} <= set(idx.columns):
         # examined:returned ratio (IndexStatsEntry.java:31-113)
@@ -146,41 +177,105 @@ def build_report(results: dict[str, pd.DataFrame], *,
             "collscanPercent": (round(coll_cnt * 100.0 / idx_total, 2)
                                 if idx_total else 0.0),
         },
-        "indexes": _records(idx),
+        "indexes": _records(idx, limit=limit),
     }
-    report["errorCodes"] = _records(results.get("errors"))
-    report["transactions"] = _records(results.get("txn"))
+    report["errorCodes"] = _records(results.get("errors"), limit=limit)
+    report["transactions"] = _records(results.get("txn"), limit=limit)
     if "app_conns" in results:
         report["appNameConnections"] = _records(
-            results["app_conns"], sort_by="distinct_conn_count")
+            results["app_conns"], sort_by="distinct_conn_count",
+            limit=limit)
     if "driver_stats" in results:
         report["driverStats"] = _records(results["driver_stats"],
-                                         sort_by="conn_count")
+                                         sort_by="conn_count",
+                                         limit=limit)
     if "slow_planning" in results:
         report["slowPlanning"] = _records(results["slow_planning"],
-                                          sort_by="planning_time_us")
+                                          sort_by="planning_time_us",
+                                          limit=limit)
     if "ignored" in results:
         ign = results["ignored"].rename(columns={"count()": "count"})
         total_ign = int(ign["count"].sum()) if len(ign) else 0
-        rows = []
-        for rec in _records(ign):
+        rows = _records(ign, limit=limit)
+        for rec in rows:
             # per-category share (reportIgnoredAnalysis
             # LogParser.java:1114-1125)
             rec["percentage"] = round(
                 rec["count"] * 100.0 / max(total_ign, 1), 1)
-            rows.append(rec)
         report["ignoredLines"] = {"total": total_ign, "categories": rows}
     return report
+
+
+def _write_atomic(path: str, write) -> None:
+    """``write(fh)`` into ``<path>.tmp``, then rename it over ``path``;
+    a failed write leaves neither a partial ``path`` nor the tmp file."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+_FLAT_TYPES = {str, int, float, bool, type(None)}
+_JSON_CHUNK_ROWS = 100
+# ensure_ascii escapes every control character, so a raw newline in an
+# encoded list can only be this separator
+_encode_values = json.JSONEncoder(default=str,
+                                  separators=("\n", ": ")).encode
+
+
+def _is_flat(v: Any) -> bool:
+    """A list of flat records: every row a dict with the first row's
+    str keys in its order, every value a str/int/float/bool/None."""
+    keys = list(v[0]) if isinstance(v, list) and v and \
+        type(v[0]) is dict else None
+    return bool(keys and all(type(k) is str for k in keys)
+                and all(type(r) is dict and list(r) == keys for r in v)
+                and set(map(type, chain.from_iterable(
+                    map(dict.values, v)))) <= _FLAT_TYPES)
+
+
+def _dump_json(fh, v: Any, level: int = 0) -> None:
+    """Write ``json.dumps(v, indent=2, default=str)`` nested ``level``
+    deep, byte for byte, without the pure-Python encoder that
+    ``indent`` selects: dicts are walked here; a list of flat records
+    is a row template filled from one C-encoder call per chunk of
+    rows; any other value is ``json.dumps`` re-indented to ``level``."""
+    pad = "\n" + "  " * level
+    if isinstance(v, dict) and v and all(isinstance(k, str) for k in v):
+        sep = "{" + pad + "  "
+        for k, x in v.items():
+            fh.write(sep + json.dumps(k) + ": ")
+            _dump_json(fh, x, level + 1)
+            sep = "," + pad + "  "
+        fh.write(pad + "}")
+        return
+    if not _is_flat(v):
+        fh.write(json.dumps(v, indent=2, default=str).replace("\n", pad))
+        return
+    row_pad = pad + "  "
+    template = "{" + ",".join(
+        row_pad + "  " + json.dumps(k).replace("%", "%%") + ": %s"
+        for k in v[0]) + row_pad + "}"
+    sep = "[" + row_pad
+    for i in range(0, len(v), _JSON_CHUNK_ROWS):
+        rows = v[i:i + _JSON_CHUNK_ROWS]
+        vals = _encode_values(list(chain.from_iterable(map(dict.values,
+                                                           rows))))
+        fh.write(sep + ("," + row_pad).join([template] * len(rows))
+                 % tuple(vals[1:-1].split("\n")))
+        sep = "," + row_pad
+    fh.write(pad + "]")
 
 
 def write_json_report(results: dict[str, pd.DataFrame], path: str,
                       **kw) -> dict[str, Any]:
     rep = build_report(results, **kw)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(rep, fh, indent=2, default=str)
-    import os
-    os.replace(tmp, path)
+    _write_atomic(path, lambda fh: _dump_json(fh, rep))
     return rep
 
 
@@ -283,6 +378,22 @@ def _html_cell(v: Any) -> tuple[str, bool]:
     return _html.escape(s), string_like
 
 
+_NUMBER_TYPES = {int, float, type(None)}
+
+
+def _html_column(vals: list) -> tuple[list[str], bool]:
+    """Render one column → (inner htmls, left-aligned?); a column is
+    left-aligned iff any of its cells is string-like.  A column of
+    numbers and None needs neither ``html.escape`` nor the JSON round
+    trip."""
+    if set(map(type, vals)) <= _NUMBER_TYPES:
+        cells = ["" if v is None else str(v) for v in vals]
+        if max(map(len, cells), default=0) <= _LONG_CELL:
+            return cells, None in vals
+    rendered = [_html_cell(v) for v in vals]
+    return [cell for cell, _ in rendered], any(s for _, s in rendered)
+
+
 def write_html_report(results: dict[str, pd.DataFrame], path: str,
                       *, top: int = 100, shards: bool = False,
                       **kw) -> None:
@@ -297,10 +408,12 @@ def write_html_report(results: dict[str, pd.DataFrame], path: str,
     ``shards=True`` (the ``--shards`` run mode) appends one collapsible
     section per shard — every source-keyed sink sliced to that shard,
     source column dropped — mirroring the reference's dedicated
-    per-shard report tables (HtmlReportGenerator.java:398-925)."""
+    per-shard report tables (HtmlReportGenerator.java:398-925).
+    Records are built only for the ``top`` rows each table shows."""
     import html as _html
 
-    rep = build_report(results, **kw)
+    limit = top if top > 0 else None
+    rep = _build_report(results, limit, **kw)
     parts = ["<!doctype html><meta charset='utf-8'>",
              "<title>mlp_ray report</title>",
              f"<style>{_HTML_CSS}</style>",
@@ -316,18 +429,15 @@ def write_html_report(results: dict[str, pd.DataFrame], path: str,
             return "<p class='count'>(empty)</p>"
         cols = list(rows[0])
         rows = rows[:top]
-        rendered = [[_html_cell(r.get(c)) for c in cols] for r in rows]
-        # a column is left-aligned iff any of its cells is string-like
-        is_s = [any(row[j][1] for row in rendered)
-                for j in range(len(cols))]
-        h = "".join(
-            f"<th{' class=s' if is_s[j] else ''}>{_html.escape(str(c))}</th>"
-            for j, c in enumerate(cols))
-        body = "".join(
-            "<tr>" + "".join(
-                f"<td{' class=s' if is_s[j] else ''}>{cell}</td>"
-                for j, (cell, _) in enumerate(row)) + "</tr>"
-            for row in rendered)
+        h, tds = "", [["<tr>"] * len(rows)]
+        for c in cols:
+            cells, is_s = _html_column([r.get(c) for r in rows])
+            td = "<td class=s>" if is_s else "<td>"
+            h += (f"<th{' class=s' if is_s else ''}>"
+                  f"{_html.escape(str(c))}</th>")
+            tds.append([td + cell + "</td>" for cell in cells])
+        tds.append(["</tr>"] * len(rows))
+        body = "".join(map("".join, zip(*tds)))
         return ("<div class='tbl'>"
                 "<input class='filter' placeholder='Filter rows…' "
                 "oninput='filterTable(this)'>"
@@ -368,7 +478,7 @@ def write_html_report(results: dict[str, pd.DataFrame], path: str,
                 if sub.empty:
                     continue
                 inner.append(f"<h3>{_html.escape(str(name))}</h3>"
-                             + table(_records(sub)))
+                             + table(_records(sub, limit=limit)))
             parts.append(
                 "<div class='sec shard closed'>"
                 "<div class='sec-head' onclick='toggleSec(this)'>"
@@ -377,11 +487,7 @@ def write_html_report(results: dict[str, pd.DataFrame], path: str,
                 "</div><div class='sec-body'>" + "".join(inner) +
                 "</div></div>")
     parts.append(f"<script>{_HTML_JS}</script>")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(parts))
-    import os
-    os.replace(tmp, path)
+    _write_atomic(path, lambda fh: fh.write("\n".join(parts)))
 
 
 def console_report(results: dict[str, pd.DataFrame], *, top: int = 10) -> str:

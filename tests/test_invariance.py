@@ -2,6 +2,8 @@
 into different block structures must produce identical sink tables
 (SURVEY.md §4 Ordering — required for the N vs 4N equality check)."""
 
+import os
+
 import ray.data as rd
 
 from mlp_ray.aggs.fold import run_fold
@@ -167,3 +169,75 @@ def test_sf_queries_layout_invariance(ray_session, tmp_path_factory):
     for name, keys in checks:
         fn = getattr(Q, name)
         assert_frames_match(fn(str(src)), fn(str(dst)), keys)
+
+
+def _hold_first_block(ds, path, marks):
+    """``ds`` with ``path``'s first block held back until another block
+    has passed it (each leaves a file in ``marks``; 30 s at most), then
+    2 s more.  Half a CPU keeps Ray from fusing the hold with the read
+    or the maps after it, so every block passes it in its own task and
+    the held one reaches the fold last."""
+    import time
+    import uuid
+
+    import pyarrow.parquet as pq
+
+    first = pq.read_table(path, columns=["doc_id"])["doc_id"][0]
+    os.makedirs(marks)
+
+    def hold(batch):
+        if not batch.num_rows:
+            return batch
+        if batch["doc_id"][0] != first:
+            open(os.path.join(marks, uuid.uuid4().hex), "w").close()
+            return batch
+        stop = time.monotonic() + 30
+        while not os.listdir(marks) and time.monotonic() < stop:
+            time.sleep(0.05)
+        time.sleep(2)
+        return batch
+
+    return ds.map_batches(hold, batch_format="pyarrow", num_cpus=0.5)
+
+
+def _assert_same_tables(got, want):
+    import pandas as pd
+
+    assert list(got) == list(want)
+    for name in want:
+        pd.testing.assert_frame_equal(got[name], want[name],
+                                      check_exact=True, obj=name)
+
+
+def test_report_row_order_does_not_depend_on_block_finish_order(
+        fixture_paths, tmp_path):
+    """The fold keeps groups in first-appearance order, so its payload
+    rows must reach the merge in input order: holding the first block
+    back must not change any table's row order."""
+    from mlp_ray.pipelines.analyze import run_full_analysis
+
+    want = run_full_analysis(fixture_paths, shards=True)
+    held = _hold_first_block(load_events(fixture_paths), fixture_paths[0],
+                             str(tmp_path / "marks"))
+    _assert_same_tables(run_full_analysis(fixture_paths, ds=held,
+                                          shards=True), want)
+    assert not held.context.execution_options.preserve_order
+
+
+def test_resumable_row_order_does_not_depend_on_block_finish_order(
+        fixture_paths, tmp_path, monkeypatch):
+    """The same for the checkpointed report, whose per-file emit pass
+    persists one file's payload rows: a file read as several blocks
+    must persist them in input order."""
+    from mlp_ray.pipelines import analyze
+
+    path, load = fixture_paths[0], analyze.load_events
+    assert load([path], override_num_blocks=4).materialize().num_blocks() > 1
+    monkeypatch.setattr(analyze, "load_events",
+                        lambda p: load(p, override_num_blocks=4))
+    want = analyze.run_full_analysis_resumable([path], str(tmp_path / "a"),
+                                               shards=True)
+    monkeypatch.setattr(analyze, "load_events", lambda p: _hold_first_block(
+        load(p, override_num_blocks=4), path, str(tmp_path / "marks")))
+    _assert_same_tables(analyze.run_full_analysis_resumable(
+        [path], str(tmp_path / "b"), shards=True), want)
