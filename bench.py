@@ -225,12 +225,12 @@ def run_queries() -> tuple[dict[str, float], dict[str, float]]:
 
 def run_report(paths: list[str]) -> float:
     """Single-pass multi-sink report (aggs/multifold) over the bench
-    corpus — times the full 13-table analysis in one streaming pass."""
+    corpus — times the full 14-table analysis in one streaming pass."""
     from mlp_ray.pipelines import analyze
 
     t0 = time.perf_counter()
     res = analyze.run_full_analysis(paths)
-    assert len(res) == 13 and len(res["main_ops"]) > 0
+    assert len(res) == 14 and len(res["main_ops"]) > 0
     return round(time.perf_counter() - t0, 3)
 
 

@@ -71,7 +71,9 @@ def cmd_analyze(args):
     results = analyze.run_full_analysis(
         None, ds=_load(args), redact=not args.no_redact,
         filter_config=fc, ns_filter=nf, shards=args.shards,
-        raw=args.raw_logs, exclude=frozenset(
+        raw=args.raw_logs,
+        p95_mode="sketch" if args.p95_sketch else "exact",
+        exclude=frozenset(
             (["driver_stats"] if args.no_drivers else [])
             + (["app_conns"] if args.no_app_stats else [])))
     os.makedirs(args.out, exist_ok=True)
@@ -331,6 +333,9 @@ def main(argv=None):
                          "not parquet")
     sp.add_argument("--limit", type=int, default=None,
                     help="stop each input file after N rows")
+    sp.add_argument("--p95-sketch", action="store_true",
+                    help="p95 from a 4096-bin log histogram (~0.7%% "
+                         "bins, bounded state) instead of exactly")
     sp.add_argument("--debug", action="store_true",
                     help="print wall time, driver RSS and result-table "
                          "cardinalities to stderr (reference --debug, "

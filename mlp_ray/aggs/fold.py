@@ -41,12 +41,14 @@ appearance order (``ordered_group_by``) of the batch rows, which are
 sorted by ``order_col`` first when first/last/sample are asked for.
 Key nulls form their own group; NaN metric values count as missing.
 
-p95 is exact over all group values by default, not the reference's
-first-10k sample (``LogLineAccumulator.java:75``) — a documented
-deviation. At 10^12-row scale pass ``p95_mode="sketch"``: partials
-then carry per-group ``(bin, count)`` pairs of a fixed 4096-bin
-log-spaced histogram (bounded state, ~0.7% bin width) instead of raw
-value lists whose shuffle volume grows with the data.
+p95 is exact over all group values unless the caller pins
+``p95_mode="sketch"``, not the reference's first-10k sample
+(``LogLineAccumulator.java:75``) — a documented deviation; the
+multifold exchange reads quantiles out in its merge tasks
+(``settle``), so value lists never reach the driver.  The sketch's
+partials carry per-group ``(bin, count)`` pairs of a fixed 4096-bin
+log-spaced histogram (bounded state at 10^12 rows, ~0.7% bin width)
+instead of value lists that grow with the data.
 
 The public ``partial`` / ``combine_partials`` return a
 ``pd.ArrowDtype``-backed view of the Arrow partial, so callers can
@@ -302,12 +304,11 @@ class FoldSpec:
         keys, ``count``, per metric ``count_/sum_/min_/max_/avg_/pNN_``,
         the bool counts, ``map_*`` JSON count-maps, ``first_*`` /
         ``last_*`` and ``sample_doc_id``, in that column order.
-        ``None`` (no partials) → the typed zero-row table."""
-        if comb is None:
-            comb = self._empty_partial()
+        Settled rows (``settle``) too.  ``None`` (no partials) → the
+        typed zero-row table."""
+        comb = self.settle(self._empty_partial() if comb is None else comb)
         out = {k: _pd(comb[k], self._dtype(k)) for k in self.keys}
         out["count"] = _np(comb["count"], np.int64)
-        n_groups = comb.num_rows
         for m, stats in self.metrics.items():
             cnt = _np(comb[f"_cnt_{m}"], np.int64)
             pos = cnt > 0
@@ -324,20 +325,8 @@ class FoldSpec:
             if "avg" in stats:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     out[f"avg_{m}"] = np.where(pos, s / cnt, np.nan)
-            qs = _quantile_stats(stats)
-            if qs:
-                lists = comb[f"_vals_{m}"].combine_chunks()
-                gc = pc.list_parent_indices(lists).to_numpy()
-                flat = pc.list_flatten(lists)
-            for sname, q in qs:
-                if self.p95_mode == "sketch":
-                    out[f"{sname}_{m}"] = _quantile_of_pairs(
-                        _np(flat.field("v"), np.int64),
-                        _np(flat.field("n"), np.int64), gc, n_groups, q)
-                else:
-                    out[f"{sname}_{m}"] = _quantile_grouped(
-                        flat.to_numpy(zero_copy_only=False), gc, n_groups,
-                        q, self.quantile_method)
+            for sname, _ in _quantile_stats(stats):
+                out[f"{sname}_{m}"] = _np(comb[f"_{sname}_{m}"], np.float64)
         for c, name in self.bool_count_cols.items():
             out[name] = _np(comb[f"_bsum_{c}"], np.int64)
         for c in self.countmap_cols:
@@ -351,6 +340,31 @@ class FoldSpec:
         if self.sample_by:
             out["sample_doc_id"] = _pd(comb["_smp_ord"], "string")
         return pd.DataFrame(out)
+
+    def settle(self, comb: pa.Table) -> pa.Table:
+        """Combined rows of WHOLE groups with each metric's value lists
+        (or sketch bins) replaced by its ``_pNN_<m>`` quantiles, at
+        group scale; settled rows pass through.  The multifold exchange
+        settles every key-hash bucket in its merge task.  The result no
+        longer merges (``combine_table``)."""
+        for m, stats in self.metrics.items():
+            if f"_vals_{m}" not in comb.column_names:
+                continue
+            lists = comb[f"_vals_{m}"].combine_chunks()
+            gc = pc.list_parent_indices(lists).to_numpy()
+            flat = pc.list_flatten(lists)
+            for sname, q in _quantile_stats(stats):
+                if self.p95_mode == "sketch":
+                    v = _quantile_of_pairs(
+                        _np(flat.field("v"), np.int64),
+                        _np(flat.field("n"), np.int64), gc, len(comb), q)
+                else:
+                    v = _quantile_grouped(flat.to_numpy(zero_copy_only=False),
+                                          gc, len(comb), q,
+                                          self.quantile_method)
+                comb = comb.append_column(f"_{sname}_{m}", pa.array(v))
+            comb = comb.drop_columns([f"_vals_{m}"])
+        return comb
 
     # --- pandas-facing surface ------------------------------------------
     def partial(self, batch: pa.Table) -> pd.DataFrame:
@@ -585,15 +599,13 @@ def _quantile_of_pairs(bins: np.ndarray, counts: np.ndarray,
 
 
 def fold_frame(ds, spec: FoldSpec, *, merge: str = "distributed",
-               batch_size: int = 131072, num_buckets: int = 64,
-               salt: int = 1) -> pd.DataFrame:
+               batch_size: int = 131072, salt: int = 1) -> pd.DataFrame:
     """Fold a Ray Dataset with ``spec`` → one pandas frame of final rows
     (``readout`` columns and dtypes, typed even for an empty input):
     the one-sink case of ``multifold.run_multi_fold``.
 
     ``merge="driver"`` merges the collected partials (one row per
-    group × batch) in-process.  ``"distributed"`` tags each partial
-    with its ``hash(keys) % num_buckets`` bucket and lets the measured
+    group × batch) in-process.  ``"distributed"`` lets the measured
     payload size pick the driver merge or the ``(sink, bucket)``
     exchange; use it when partials can be large (exact-p95 value lists
     grow with the data).
@@ -606,8 +618,7 @@ def fold_frame(ds, spec: FoldSpec, *, merge: str = "distributed",
     skew mitigation.  Pair it with ``p95_mode='sketch'`` at scale so
     the combined state stays bounded."""
     return run_multi_fold(ds, {"fold": fold_job(spec)}, mode=merge,
-                          batch_size=batch_size, num_buckets=num_buckets,
-                          salt=salt)["fold"]
+                          batch_size=batch_size, salt=salt)["fold"]
 
 
 def run_fold(ds, spec: FoldSpec, **kw):

@@ -4,13 +4,13 @@
 stream.  Materializing the stream and running 14 fold pipelines pins
 the whole corpus in the object store and re-scans it per sink; this
 module instead runs ONE ``map_batches`` pass that emits every sink's
-per-batch partial as a tagged ``(sink, bucket, payload)`` row whose
-payload is the partial Arrow table in Arrow IPC stream format, then
-merges them — driver-side for report-scale inputs (no shuffle at all:
-partial volume is groups × blocks, not rows), or through a single
-``groupby((sink, bucket))`` shuffle for large inputs (ADVICE r1: the
-unconditional driver merge was a driver-memory regression when exact
-p95 partials carry raw value lists).
+per-batch partial as one ``(sink, payload)`` row whose payload is the
+partial Arrow table in Arrow IPC stream format, then merges them where
+their MEASURED size says (``merge_payloads``): driver-side while small
+(partial volume is groups × blocks, not rows), else in one
+``groupby((sink, bucket))`` exchange that hands the driver settled,
+group-scale rows (ADVICE r1: exact-p95 value lists must not converge
+on driver memory).
 
 It also serves ``fold.fold_frame``/``run_fold`` (a ``FoldSpec`` as the
 one job, ``fold_job``) and the resumable report's persisted payloads
@@ -23,11 +23,15 @@ Sink contract (``SinkJob``), Arrow until the final step:
                                                 (None: no partials)
   bucket_keys: columns whose hash co-locates whole groups (None →
   everything in one bucket — use only for bounded-size partials)
+  settle(t: pa.Table) -> pa.Table               optional, exchange
+                                                only: whole groups →
+                                                what finalize reads
 
 Correctness requirement: ``finalize(bucket_merge(all_partials))`` must
-equal ``finalize(concat_over_buckets(bucket_merge(bucket_partials)))``
-— true whenever bucket_merge distributes over a partition by
-``bucket_keys`` (two-phase folds, top-k, sums).
+equal ``finalize(concat_over_buckets(settle(bucket_merge(
+bucket_partials))))`` — true whenever bucket_merge distributes over a
+partition by ``bucket_keys`` (two-phase folds, top-k, sums) and
+settle only reads out groups early.
 """
 
 from __future__ import annotations
@@ -41,10 +45,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-# Version tag of the payload bytes; persisted partials
-# (``analyze.run_full_analysis_resumable``) written under another tag
+# Version tag of the persisted payload rows (``(sink, payload)`` rows
+# of Arrow IPC bytes); partials of
+# ``analyze.run_full_analysis_resumable`` written under another tag
 # are recomputed, never decoded.
-PAYLOAD_FORMAT = "arrow-ipc-1"
+PAYLOAD_FORMAT = "arrow-ipc-2"
 
 
 @dataclass
@@ -53,6 +58,7 @@ class SinkJob:
     bucket_merge: Callable[[pa.Table], pa.Table]
     finalize: Callable[[pa.Table | None], pd.DataFrame]
     bucket_keys: list[str] | None = None
+    settle: Callable[[pa.Table], pa.Table] | None = None
 
 
 def _fold_prep(batch: pa.Table, *, spec, mask) -> pa.Table:
@@ -67,12 +73,12 @@ def fold_job(spec, mask: Callable[[pa.Table], pa.Array] | None = None,
              = None) -> SinkJob:
     """A ``FoldSpec`` as a sink: ``partial_table`` of the rows where
     ``mask(batch)`` holds (all rows without a mask), ``combine_table``
-    per bucket of the spec's keys, ``readout`` (typed when empty)
-    unless another ``finalize`` is given."""
+    per bucket of the spec's keys, ``settle``, ``readout`` (typed when
+    empty) unless another ``finalize`` (of settled rows too) is given."""
     return SinkJob(prep=functools.partial(_fold_prep, spec=spec, mask=mask),
                    bucket_merge=spec.combine_table,
                    finalize=finalize or spec.readout,
-                   bucket_keys=list(spec.keys))
+                   bucket_keys=list(spec.keys), settle=spec.settle)
 
 
 def to_ipc(t: pa.Table) -> bytes:
@@ -89,47 +95,37 @@ def _concat(blobs) -> pa.Table | None:
             if tables else None)
 
 
-def _payload_frame(sinks, buckets, payloads) -> pd.DataFrame:
+def _payload_frame(sinks, payloads, buckets=None) -> pd.DataFrame:
     # an Arrow-backed payload column: Ray ships its buffers and the
     # driver decodes the payloads from them.  An object column of bytes
     # is unpickled into one Python bytes object per payload on Ray's
     # batch-formatting threads, whose malloc arenas then grow over
     # repeated reports in a long-lived driver.
-    return pd.DataFrame({"sink": pd.array(sinks, dtype="string"),
-                         "bucket": np.asarray(buckets, dtype=np.int64),
-                         "payload": pd.array(payloads, dtype=pd.ArrowDtype(
-                             pa.binary()))})
+    cols = {"sink": pd.array(sinks, dtype="string")}
+    if buckets is not None:
+        cols["bucket"] = np.asarray(buckets, dtype=np.int64)
+    cols["payload"] = pd.array(payloads, dtype=pd.ArrowDtype(pa.binary()))
+    return pd.DataFrame(cols)
 
 
-def make_emit(jobs: dict[str, SinkJob], mode: str = "driver",
-              num_buckets: int = 16):
+def make_emit(jobs: dict[str, SinkJob], mode: str = "driver"):
     """The per-batch partial-emit UDF shared by ``run_multi_fold`` and
     the checkpointed ``analyze.run_full_analysis_resumable`` path:
-    every sink's prep runs over the batch and each partial table
-    leaves as one tagged IPC payload row.  ``mode="distributed"``
-    splits each partial by its sink's key-hash bucket so a later
-    ``groupby((sink, bucket))`` merge co-locates whole groups."""
-    from ..util import key_hash_buckets
+    every sink's prep runs over the batch and each non-empty partial
+    table leaves as one ``(sink, payload)`` IPC row; only the exchange
+    splits rows by key-hash bucket.  ``mode`` accepts only
+    ``"driver"``."""
+    if mode != "driver":
+        raise ValueError(f"make_emit: unknown mode {mode!r}")
 
     def emit(batch: pa.Table) -> pd.DataFrame:
-        sinks: list[str] = []
-        buckets: list[int] = []
-        payloads: list[bytes] = []
+        sinks, payloads = [], []
         for name, job in jobs.items():
             part = job.prep(batch)
-            if part is None or part.num_rows == 0:
-                continue
-            if mode == "distributed" and job.bucket_keys:
-                bk = key_hash_buckets(part, job.bucket_keys, num_buckets)
-                for b in np.unique(bk):
-                    sinks.append(name)
-                    buckets.append(int(b))
-                    payloads.append(to_ipc(part.filter(pa.array(bk == b))))
-            else:
+            if part is not None and part.num_rows:
                 sinks.append(name)
-                buckets.append(0)
                 payloads.append(to_ipc(part))
-        return _payload_frame(sinks, buckets, payloads)
+        return _payload_frame(sinks, payloads)
 
     return emit
 
@@ -151,72 +147,107 @@ def merge_payload_rows(rows: pd.DataFrame,
             for name, t in _sink_partials(rows, jobs)}
 
 
-def _merge_groups(payload, jobs: dict[str, SinkJob], keys: list[str]):
-    """One exchange: each ``keys`` group of payload rows merges
-    remotely into one payload row tagged with its (sink, bucket)."""
+# Fewest key-hash buckets per sink in the exchange (each owns whole
+# groups); more when the Ray session has CPUs for two merges each.
+MIN_BUCKETS = 16
+
+
+def _split_buckets(payload, jobs: dict[str, SinkJob]):
+    """The exchange's map over payload rows: each row leaves as one
+    ``(sink, bucket, payload)`` row per key-hash bucket its partial
+    holds (``util.key_hash_buckets`` of the sink's ``bucket_keys``,
+    bucket 0 for a sink without them).  A partial within one bucket
+    keeps its bytes."""
+    from ..util import key_hash_buckets, session_cpus
+
+    keyed = sum(1 for job in jobs.values() if job.bucket_keys) or 1
+    num_buckets = max(MIN_BUCKETS, -(-2 * session_cpus() // keyed))
+
+    def split(t: pa.Table) -> pd.DataFrame:
+        sinks, buckets, payloads = [], [], []
+        for name, blob in zip(t["sink"].to_pylist(), t["payload"]):
+            keys = jobs[name].bucket_keys
+            bk = np.zeros(1, np.int64)
+            if keys:
+                part = pa.ipc.open_stream(blob.as_buffer()).read_all()
+                bk = key_hash_buckets(part, keys, num_buckets)
+            uniq = np.unique(bk)
+            for b in uniq:
+                sinks.append(name)
+                buckets.append(int(b))
+                payloads.append(blob.as_py() if len(uniq) == 1 else
+                                to_ipc(part.filter(pa.array(bk == b))))
+        return _payload_frame(sinks, payloads, buckets)
+
+    return payload.map_batches(split, batch_format="pyarrow",
+                               zero_copy_batch=True)
+
+
+def _merge_groups(tagged, jobs: dict[str, SinkJob], keys: list[str],
+                  settle: bool = False):
+    """One exchange: each ``keys`` group of ``(sink, bucket, payload)``
+    rows merges remotely into one such row, settled at the final level
+    (``settle``: its buckets hold whole groups)."""
 
     def merge_group(g: pa.Table) -> pd.DataFrame:
         name = g["sink"][0].as_py()
-        merged = jobs[name].bucket_merge(_concat(g["payload"]))
-        return _payload_frame([name], [g["bucket"][0].as_py()],
-                              [to_ipc(merged)])
+        job = jobs[name]
+        merged = job.bucket_merge(_concat(g["payload"]))
+        if settle and job.settle is not None:
+            merged = job.settle(merged)
+        return _payload_frame([name], [to_ipc(merged)],
+                              [g["bucket"][0].as_py()])
 
-    return payload.groupby(keys).map_groups(merge_group,
-                                            batch_format="pyarrow")
+    return tagged.groupby(keys).map_groups(merge_group,
+                                           batch_format="pyarrow")
 
 
-def merge_payload_ds(payload, jobs: dict[str, SinkJob]
+def merge_payload_ds(tagged, jobs: dict[str, SinkJob]
                      ) -> dict[str, pd.DataFrame]:
-    """Distributed merge of a payload-row Dataset: ONE
-    ``groupby((sink, bucket))`` shuffle, bucket_merge remote, finalize
-    on the driver over the concatenated merged buckets."""
-    finals = _merge_groups(payload, jobs, ["sink", "bucket"]).to_pandas()
+    """Distributed merge of bucket-split payload rows
+    (``_split_buckets``): ONE ``groupby((sink, bucket))`` shuffle,
+    bucket_merge and settle remote, finalize on the driver."""
+    finals = _merge_groups(tagged, jobs, ["sink", "bucket"],
+                           settle=True).to_pandas()
     return {name: jobs[name].finalize(t)
             for name, t in _sink_partials(finals, jobs)}
 
 
-def _salted_level(payload, jobs: dict[str, SinkJob], salt: int):
-    """First level of the two-level exchange: payload rows hash to one
-    of ``salt`` fine buckets per (sink, bucket), each merged to one row
-    (``bucket_merge`` must be closed under merge, as ``combine_table``
-    is)."""
+def _salted_level(tagged, jobs: dict[str, SinkJob], salt: int):
+    """First level of the two-level exchange: bucket-split payload rows
+    hash to one of ``salt`` fine buckets per (sink, bucket), each
+    merged to one row (``bucket_merge`` must be closed under merge, as
+    ``combine_table`` is)."""
 
     def add_fine(t: pa.Table) -> pa.Table:
         fine = [zlib.crc32(b.as_buffer()) % salt for b in t["payload"]]
         return t.append_column("fine", pa.array(fine, pa.int64()))
 
-    return _merge_groups(payload.map_batches(add_fine,
-                                             batch_format="pyarrow"),
+    return _merge_groups(tagged.map_batches(add_fine, batch_format="pyarrow"),
                          jobs, ["sink", "bucket", "fine"])
 
 
-# In distributed mode the partials are bounded (the input-size gate
-# that selects it also flips p95 to the sketch), so the merge can
-# route on the MEASURED payload size: below this, the (sink, bucket)
-# exchange is pure shuffle latency (~1.5-2 s on this box for the
-# report's ~8k payload rows at sf0.1) and a driver merge of the same
-# rows is both cheaper and contract-equal (bucket_merge distributes
-# over bucket partitions — module docstring).
+# Measured payload bytes up to which partials merge on the driver:
+# below this, the exchange is pure shuffle latency and a driver merge
+# of the same rows is cheaper and contract-equal; above it exact-p95
+# value lists (they grow with the data) merge and settle off the driver.
 PAYLOAD_DRIVER_MAX_BYTES = 64 << 20
 
 
 def merge_payloads(payload, jobs: dict[str, SinkJob], *,
-                   payload_driver_max_bytes: int | None = None,
                    salt: int = 1) -> dict[str, pd.DataFrame]:
-    """THE merge tail of a Dataset of bucket-tagged payload rows:
-    materialize ONLY the partials (bounded; the object store spills)
-    and route on their real size — up to ``payload_driver_max_bytes``
-    (default ``PAYLOAD_DRIVER_MAX_BYTES``) merge on the driver, more in
-    the (sink, bucket) exchange.  ``salt > 1`` always runs the salted
-    two-level exchange."""
+    """THE merge tail of a Dataset of payload rows: materialize ONLY
+    the partials (bounded; the object store spills) and route on their
+    measured size — up to ``PAYLOAD_DRIVER_MAX_BYTES`` merge on the
+    driver, more in the (sink, bucket) exchange.  ``salt > 1`` always
+    runs the salted two-level exchange."""
     pm = payload.materialize()
-    if salt > 1:
-        return merge_payload_ds(_salted_level(pm, jobs, salt), jobs)
-    if payload_driver_max_bytes is None:
-        payload_driver_max_bytes = PAYLOAD_DRIVER_MAX_BYTES
-    if pm.size_bytes() <= payload_driver_max_bytes:
+    if salt == 1 and pm.size_bytes() <= PAYLOAD_DRIVER_MAX_BYTES:
         return merge_payload_rows(pm.to_pandas(), jobs)
-    return merge_payload_ds(pm, jobs)
+    tagged = _split_buckets(pm, jobs)
+    if salt > 1:
+        tagged = _salted_level(tagged, jobs, salt)
+    return merge_payload_ds(tagged, jobs)
 
 
 def emit_payloads(cds, emit, batch_size: int = 32768):
@@ -238,13 +269,11 @@ def emit_payloads(cds, emit, batch_size: int = 32768):
 
 def run_multi_fold(cds, jobs: dict[str, SinkJob], *,
                    mode: str = "driver", batch_size: int = 32768,
-                   num_buckets: int = 16,
-                   payload_driver_max_bytes: int | None = None,
                    salt: int = 1) -> dict[str, pd.DataFrame]:
     """One streaming pass over ``cds`` → one final pandas table per
-    sink.  ``mode="driver"`` collects partial payloads and merges
-    in-process; ``mode="distributed"`` tags each payload with its
-    key-hash bucket and merges through ``merge_payloads``.
+    sink.  ``mode="driver"`` collects the payload rows and merges
+    in-process; ``mode="distributed"`` merges through
+    ``merge_payloads`` (measured route).
 
     ``batch_size`` trades task parallelism + per-prep Arrow chunking
     cost against partial volume (groups × batches).  Measured on the
@@ -257,9 +286,7 @@ def run_multi_fold(cds, jobs: dict[str, SinkJob], *,
 
     Tables come out in the same row order however many CPUs run the
     blocks (``emit_payloads``); ``cds``'s own context is not changed."""
-    payload = emit_payloads(cds, make_emit(jobs, mode, num_buckets),
-                            batch_size)
+    payload = emit_payloads(cds, make_emit(jobs), batch_size)
     if mode == "driver":
         return merge_payload_rows(payload.to_pandas(), jobs)
-    return merge_payloads(payload, jobs, salt=salt,
-                          payload_driver_max_bytes=payload_driver_max_bytes)
+    return merge_payloads(payload, jobs, salt=salt)

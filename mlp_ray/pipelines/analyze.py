@@ -29,7 +29,7 @@ from ..aggs.fold import ordered_group_by
 from ..stages.classify import classify_batch
 from ..stages.enrich import NsEnricher
 from ..stages.redact import Redactor
-from ..util import file_sizes, read_blocks, session_cpus
+from ..util import read_blocks, session_cpus
 
 # Narrow attribute columns needed by classify + all sinks — the token
 # payload is deliberately NOT read for aggregation-only runs (prune at
@@ -215,29 +215,6 @@ def conn_events(batch: pa.Table) -> pa.Table:
 
 
 # --- single-pass multi-sink report ------------------------------------
-# estimated input bytes above which mode="auto" merges distributed
-DRIVER_MERGE_MAX_BYTES = 256 << 20
-
-
-def _est_input_bytes(paths, ds) -> int | None:
-    """In-memory bytes of the input, or None when it cannot be sized
-    (which picks the distributed merge)."""
-    try:
-        files = ([paths] if isinstance(paths, str) else list(paths)) \
-            if paths else (ds.input_files() if ds is not None else None)
-    except Exception:
-        return None
-    if not files:
-        return None
-    try:
-        sizes = file_sizes(files)
-    except (OSError, ValueError):
-        return None
-    # compressed text expands ~8× into memory
-    return sum(sz * 8 if f.endswith((".gz", ".zip")) else sz
-               for f, sz in sizes.items())
-
-
 def _sorted_counts(t: pa.Table, key: str, cnt: str = "count") -> pa.Table:
     """Sum ``cnt`` per ``key`` (nulls form a group), sorted by key with
     nulls last — a pandas ``groupby(key, dropna=False)`` sum."""
@@ -520,50 +497,37 @@ def _analysis_jobs(top_k: int = 50, by_shard: bool = False,
 
 def run_full_analysis(paths, *, redact: bool = True,
                       filter_config=None, ns_filter=None,
-                      ds: rd.Dataset | None = None,
-                      mode: str = "auto", shards: bool = False,
+                      ds: rd.Dataset | None = None, shards: bool = False,
                       exclude: set[str] | frozenset = frozenset(),
-                      p95_mode: str = "auto", raw: bool = False,
-                      payload_driver_max_bytes: int | None = None
+                      p95_mode: str = "exact", raw: bool = False
                       ) -> dict[str, pd.DataFrame]:
     """Everything the reference's JSON report contains (K3), as small
     pandas tables.
 
     ONE streaming pass (``aggs.multifold``) computes every sink's
     partials — no ``materialize()`` of the classified corpus, no
-    per-sink re-scans.  ``mode="auto"`` merges driver-side below
-    ``DRIVER_MERGE_MAX_BYTES`` of estimated input (partials are
-    groups × blocks — skips the shuffle latency floor) and switches to
-    the distributed (sink, key-bucket) merge above it, where exact-p95
-    partials carrying raw value arrays would otherwise converge on
-    driver memory (ADVICE r1).
+    per-sink re-scans.  The partials merge where their measured size
+    says (``multifold.merge_payloads``): on the driver up to
+    ``multifold.PAYLOAD_DRIVER_MAX_BYTES`` (partials are groups ×
+    blocks), else in the (sink, key-bucket) exchange, whose merge
+    tasks read the quantiles out so exact-p95 value arrays never reach
+    the driver (ADVICE r1).
 
-    ``p95_mode="auto"`` couples the percentile estimator to that gate:
-    the golden small-input path keeps exact p95 (reference-parity
-    readout from the full value array), and the SAME size gate that
-    selects the distributed merge also flips to the bounded log-binned
-    histogram sketch — so the 10^12-row configuration needs no knobs
-    (per-group state stays a fixed 4096-bin histogram instead of raw
-    value arrays riding the merge shuffle).  Pass
-    ``p95_mode="exact"``/``"sketch"`` to pin it.  Pass
-    ``ds`` to analyze an already-loaded Dataset (e.g. parsed raw logs)
-    instead of parquet paths."""
+    p95 is exact (reference-parity readout from the full value array)
+    unless ``p95_mode="sketch"`` (CLI ``--p95-sketch``) pins the
+    log-binned histogram, whose fixed 4096 bins bound per-group state
+    at 10^12-row scale.  Pass ``ds`` to analyze an already-loaded
+    Dataset (e.g. parsed raw logs) instead of parquet paths."""
     from ..aggs.multifold import run_multi_fold
 
-    if mode == "auto":
-        est = _est_input_bytes(paths, ds)
-        mode = ("driver" if est is not None
-                and est <= DRIVER_MERGE_MAX_BYTES else "distributed")
-    if p95_mode == "auto":
-        p95_mode = "sketch" if mode == "distributed" else "exact"
     if ds is None:
         ds = load_events(paths)
     cds = classify(ds, redact=redact, filter_config=filter_config,
                    ns_filter=ns_filter)
     return run_multi_fold(
         cds, _analysis_jobs(by_shard=shards, exclude=exclude,
-                            p95_mode=p95_mode, raw=raw), mode=mode,
-        payload_driver_max_bytes=payload_driver_max_bytes)
+                            p95_mode=p95_mode, raw=raw),
+        mode="distributed")
 
 
 def analysis_partition_id(path: str) -> str:
@@ -621,8 +585,7 @@ def invalidate_analysis_partitions(work_dir: str, pids) -> None:
 
 
 # Layout of a persisted partition's payload rows
-_PARTIALS_SCHEMA = pa.schema([("sink", pa.string()), ("bucket", pa.int64()),
-                              ("payload", pa.binary())])
+_PARTIALS_SCHEMA = pa.schema([("sink", pa.string()), ("payload", pa.binary())])
 
 
 def run_full_analysis_resumable(paths, work_dir: str, *,
@@ -632,7 +595,7 @@ def run_full_analysis_resumable(paths, work_dir: str, *,
                                 filter_config=None, ns_filter=None
                                 ) -> dict[str, pd.DataFrame]:
     """CHECKPOINTED ``run_full_analysis``: one emit pass PER INPUT
-    PARTITION (file), its (sink, bucket, payload) partial rows
+    PARTITION (file), its (sink, payload) partial rows
     persisted under ``work_dir/partials/<pid>.parquet`` behind an
     atomically-rewritten manifest — a killed run resumes by skipping
     every manifest-committed partition and recomputing only the tail,
@@ -641,14 +604,12 @@ def run_full_analysis_resumable(paths, work_dir: str, *,
     Correct because the multifold contract requires
     ``finalize(bucket_merge(partials))`` to distribute over any
     partition of the inputs — the per-partition emit produces exactly
-    the same tagged partial rows the single-pass job would, just
+    the same ``(sink, payload)`` rows the single-pass job would, just
     persisted between passes.  Partial volume is groups × blocks per
     partition (never row-scale), so the checkpoint cost is the
     manifest write + a small parquet.  The persisted partials are read
     back as one Dataset and merged by ``multifold.merge_payloads``, the
-    tail ``run_multi_fold`` uses: the measured payload size picks the
-    driver merge or the (sink, bucket) exchange (exact-p95 value arrays
-    over many partitions), so emit always bucket-tags."""
+    tail ``run_full_analysis`` uses (measured route)."""
     import json
 
     import ray
@@ -658,7 +619,7 @@ def run_full_analysis_resumable(paths, work_dir: str, *,
 
     jobs = _analysis_jobs(by_shard=shards, exclude=exclude,
                           p95_mode=p95_mode, raw=raw)
-    emit = make_emit(jobs, "distributed")
+    emit = make_emit(jobs)
     part_dir = os.path.join(work_dir, "partials")
     os.makedirs(part_dir, exist_ok=True)
     manifest = completed_analysis_partitions(work_dir)

@@ -1761,15 +1761,15 @@ def _flagship_table(sf_dir: str, table: str, *,
     event stream.  The derived input is persisted once per sf_dir
     (``ensure_flagship_parquet``) so the DuckDB oracle can read the
     same rows; the Ray pipeline reads it back column-pruned and
-    re-runs classification + redaction itself.  Driver merge and exact
-    p95 are pinned, whatever the input-size gate would pick."""
+    re-runs classification + redaction itself, with the report's
+    defaults: exact p95, merged where the measured payload size says."""
     from ..sources.tokenized import ensure_flagship_parquet
     from . import analyze
 
     others = frozenset(analyze._analysis_jobs()) - {table}
     return analyze.run_full_analysis(
-        ensure_flagship_parquet(sf_dir), mode="driver", p95_mode="exact",
-        shards=by_shard, exclude=others)[table]
+        ensure_flagship_parquet(sf_dir), shards=by_shard,
+        exclude=others)[table]
 
 
 def _flagship_sink(sf_dir: str, sink: str, *,

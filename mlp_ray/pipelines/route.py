@@ -215,9 +215,8 @@ def _route_wave(wave: list[str], out_dir: str, *, redact,
     t0 = time.perf_counter()
     if raw_logs:
         from ..sources import rawlog
-        ds = rawlog.read_raw_logs(
-            wave, override_num_blocks=override_num_blocks).map_batches(
-                rawlog.parse_batch, batch_format="pyarrow")
+        ds = rawlog.read_raw_logs(wave).map_batches(
+            rawlog.parse_batch, batch_format="pyarrow")
     else:
         ds = rd.read_parquet(wave,
                              columns=ATTR_COLUMNS + ["tokens", "n_tok"],

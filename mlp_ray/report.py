@@ -139,7 +139,8 @@ def _build_report(results: dict[str, pd.DataFrame], limit: int | None, *,
         total = int(ops["count"].sum())
         rows = _records(ops, limit=limit)
         for rec in rows:
-            rec["percentage"] = round(rec["count"] * 100.0 / total, 2)
+            rec["percentage"] = round(rec["count"] * 100.0
+                                      / max(total, 1), 2)
         report["operationTypeStats"] = {"total": total, "types": rows}
     else:
         report["operationTypeStats"] = {"total": 0, "types": []}

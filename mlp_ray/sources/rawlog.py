@@ -54,6 +54,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import schema as S
+from ..util import file_sizes
 
 MAX_LINE_BYTES = 1 << 20  # 1 MB, LogParser.java:631
 
@@ -131,7 +132,7 @@ def _lines(data: bytes, member: str | None) -> pa.Table:
                      "member": pa.array([member] * len(lines), pa.string())})
 
 
-def read_raw_logs(paths, *, override_num_blocks=None):
+def read_raw_logs(paths):
     """Dataset of raw lines (``text``) with the input file they came
     from (``path``) and, for a zip archive, the member (``member``,
     null otherwise).  One read task per file sniffs its first bytes
@@ -140,7 +141,9 @@ def read_raw_logs(paths, *, override_num_blocks=None):
     inflated by Arrow's streaming codec, a zip archive is opened over
     the random-access file and read member by member (gzip members
     sniffed too).  A member is decompressed by exactly one task; zip
-    has no splittable stream, the same constraint the reference has."""
+    has no splittable stream, the same constraint the reference has.
+    One block per file at any CPU count: a split read output would keep
+    ``ReadLogText`` out of ``parse_batch``'s fused task."""
     import zipfile
 
     import ray.data as rd
@@ -162,7 +165,7 @@ def read_raw_logs(paths, *, override_num_blocks=None):
                             zf.read(name))), name)
 
     return rd.read_datasource(LogText(paths, include_paths=True),
-                              override_num_blocks=override_num_blocks)
+                              override_num_blocks=len(file_sizes(paths)))
 
 
 def shard_from_path(path: str) -> str:

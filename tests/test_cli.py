@@ -133,6 +133,25 @@ def test_analyze_subsystem_gates(fixture_paths, tmp_path):
     assert "Top 5 Most Frequent Errors" in p.stdout
 
 
+def test_analyze_p95_sketch_flag(fixture_paths, tmp_path):
+    """The report's p95 is exact by default; --p95-sketch reads it from
+    the bounded log histogram, within its ~0.7% bin width."""
+    import pandas as pd
+
+    p95 = {}
+    for flag in ([], ["--p95-sketch"]):
+        out = str(tmp_path / ("sk" if flag else "ex"))
+        p = _run("analyze", fixture_paths[0], "--limit", "400", "--out",
+                 out, *flag)
+        assert p.returncode == 0, p.stderr[-2000:]
+        ops = pd.read_csv(os.path.join(out, "main_ops.csv"))
+        p95[bool(flag)] = ops.filter(like="p95").to_numpy().ravel()
+    exact, sketch = p95[False], p95[True]
+    assert (exact > 0).any() and not (sketch == exact).all()
+    assert ((abs(sketch - exact) <= 0.01 * exact + 0.01)
+            | (pd.isna(exact) & pd.isna(sketch))).all()
+
+
 def test_trim_raw_logs_jsonl(tmp_path):
     """`trim --raw-logs <files>`: the LogFilter streaming tool
     (LogFilter.java:140-198) — non-JSON lines drop, verbose keys

@@ -79,24 +79,25 @@ def test_timestamp_range(results, oracle_cdf):
 
 
 @pytest.mark.parametrize("payload_gate", [0, None])
-def test_distributed_merge_equals_driver_merge(fixture_paths, results,
-                                               payload_gate):
+def test_distributed_merge_equals_driver_merge(fixture_paths,
+                                               payload_gate, monkeypatch):
     """The large-input path must produce byte-identical tables to the
-    report-scale driver merge — neither the mode gate nor the
-    payload-size merge route can ever change results.  payload_gate=0
-    pins the (sink, key-bucket) shuffled merge; None takes the
-    payload-size gate's driver merge of DISTRIBUTED-format (per-bucket
-    split) payload rows — all three routes must agree."""
-    # p95 pinned exact: this test isolates the MERGE engine; the
-    # p95_mode="auto" coupling (sketch on the distributed path) is a
-    # deliberate estimator change, tested in test_fold_property
-    dist = analyze.run_full_analysis(fixture_paths, mode="distributed",
-                                     p95_mode="exact",
-                                     payload_driver_max_bytes=payload_gate)
-    for name, exp in results.items():
+    report-scale driver merge — the payload-size merge route can never
+    change results.  payload_gate=0 pins the (sink, key-bucket)
+    shuffled merge, which splits the payload rows by bucket and settles
+    each bucket remotely; None takes the payload-size gate's route —
+    both must agree with ``run_multi_fold(mode="driver")``."""
+    import mlp_ray.aggs.multifold as mf
+
+    drv = mf.run_multi_fold(
+        analyze.classify(analyze.load_events(fixture_paths)),
+        analyze._analysis_jobs(), mode="driver")
+    if payload_gate is not None:
+        monkeypatch.setattr(mf, "PAYLOAD_DRIVER_MAX_BYTES", payload_gate)
+    dist = analyze.run_full_analysis(fixture_paths)
+    assert list(dist) == list(drv)
+    for name, exp in drv.items():
         act = dist[name]
-        keys = [c for c in exp.columns
-                if exp[c].dtype == object or str(exp[c].dtype) == "string"]
         a = act.sort_values(list(act.columns), kind="mergesort",
                             na_position="last").reset_index(drop=True)
         e = exp.sort_values(list(exp.columns), kind="mergesort",
@@ -125,8 +126,8 @@ def test_shards_mode_partitions_every_sink(fixture_paths, results):
 
 def test_payload_gate_routes_merge(fixture_paths, monkeypatch):
     """The payload-size gate picks the merge LOCATION (multifold
-    run_multi_fold): a small measured payload driver-merges even in
-    distributed mode; gate=0 forces the (sink, bucket) exchange —
+    run_multi_fold): a small measured payload driver-merges; gate=0
+    forces the (sink, bucket) exchange —
     pinned by spying which merge ran (results-equality is covered by
     the parametrized golden above)."""
     import mlp_ray.aggs.multifold as mf
@@ -139,11 +140,9 @@ def test_payload_gate_routes_merge(fixture_paths, monkeypatch):
     monkeypatch.setattr(mf, "merge_payload_ds",
                         lambda p, jobs: (calls.append("ds"),
                                          orig_ds(p, jobs))[1])
-    analyze.run_full_analysis(fixture_paths, mode="distributed",
-                              p95_mode="sketch")
+    analyze.run_full_analysis(fixture_paths, p95_mode="sketch")
     assert calls == ["driver"]  # fixture payload is far below 64 MB
     calls.clear()
-    analyze.run_full_analysis(fixture_paths, mode="distributed",
-                              p95_mode="sketch",
-                              payload_driver_max_bytes=0)
+    monkeypatch.setattr(mf, "PAYLOAD_DRIVER_MAX_BYTES", 0)
+    analyze.run_full_analysis(fixture_paths, p95_mode="sketch")
     assert calls == ["ds"]

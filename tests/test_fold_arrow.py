@@ -103,7 +103,7 @@ def test_fold_frame_merge_paths_agree(ray_session, monkeypatch, p95_mode):
     spec = FoldSpec(**SPEC, p95_mode=p95_mode)
     ds = rd.from_arrow([_table(400, seed) for seed in range(6)])
     calls = spy_exchange(monkeypatch)
-    kw = dict(batch_size=300, num_buckets=4)
+    kw = dict(batch_size=300)
 
     def run(**extra):
         calls.clear()
@@ -120,6 +120,30 @@ def test_fold_frame_merge_paths_agree(ray_session, monkeypatch, p95_mode):
     assert c == ["ds"]
     pd.testing.assert_frame_equal(exchange, driver, check_exact=True)
     pd.testing.assert_frame_equal(salted, driver, check_exact=True)
+
+
+@pytest.mark.parametrize("p95_mode", ["exact", "sketch"])
+def test_settled_rows_read_out_like_combined_rows(p95_mode):
+    """``settle`` reads every quantile out early (the exchange does it
+    per bucket) and drops the value lists; ``readout`` of the settled
+    rows equals ``readout`` of the combined ones, NaN for a group
+    without values included."""
+    import pyarrow.compute as pc
+
+    spec = FoldSpec(**{**SPEC, "metrics": {
+        "val": ("count", "max", "p50", "p95")}}, p95_mode=p95_mode)
+    t = _table(400, 5)
+    no_val = pc.fill_null(pc.equal(t["k1"], "c"), False)
+    t = t.set_column(t.schema.get_field_index("val"), "val",
+                     pc.if_else(no_val, None, t["val"]))
+    comb = spec.combine_table(spec.partial_table(t))
+    settled = spec.settle(comb)
+    assert "_vals_val" not in settled.column_names
+    assert settled.num_rows == comb.num_rows
+    exp = spec.readout(comb)
+    assert exp["p95_val"].isna().any()
+    pd.testing.assert_frame_equal(spec.readout(settled), exp,
+                                  check_exact=True)
 
 
 def test_empty_batch_partial_merges_with_nonempty_ones():
@@ -212,12 +236,17 @@ def test_multifold_payloads_are_arrow_ipc(fixture_paths):
     batch = apply_stage_chain(pq.read_table(fixture_paths[0],
                                             columns=ATTR_COLUMNS),
                               Redactor(), NsEnricher())
-    for mode in ("driver", "distributed"):
-        rows = make_emit(_analysis_jobs(), mode)(batch)
-        assert isinstance(rows, pd.DataFrame) and len(rows)
-        for blob in rows["payload"]:
-            t = pa.ipc.open_stream(blob).read_all()
-            assert isinstance(t, pa.Table) and t.num_rows > 0
+    jobs = _analysis_jobs()
+    rows = make_emit(jobs)(batch)
+    assert isinstance(rows, pd.DataFrame) and len(rows)
+    # one untagged row per sink with a partial
+    assert list(rows.columns) == ["sink", "payload"]
+    assert rows["sink"].is_unique and set(rows["sink"]) <= set(jobs)
+    with pytest.raises(ValueError):
+        make_emit(jobs, "distributed")
+    for blob in rows["payload"]:
+        t = pa.ipc.open_stream(blob).read_all()
+        assert isinstance(t, pa.Table) and t.num_rows > 0
 
 
 def test_bucket_hash_ignores_nulls_elsewhere_in_the_column():
@@ -231,15 +260,18 @@ def test_bucket_hash_ignores_nulls_elsewhere_in_the_column():
                 == key_hash_buckets(without, ["k"], n)[0], (typ, n)
 
 
-def test_distributed_multifold_keeps_txn_groups_whole(fixture_paths):
+def test_distributed_multifold_keeps_txn_groups_whole(fixture_paths,
+                                                      monkeypatch):
     """A nonzero txn_retry_counter key must land in one bucket whether
-    or not its batch also holds a null counter, else the distributed
-    merge emits the group once per bucket."""
+    or not its batch also holds a null counter, else the exchange's
+    bucket split makes the distributed merge emit the group once per
+    bucket."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from mlp_ray.aggs.multifold import (make_emit, merge_payload_ds,
+    import mlp_ray.aggs.multifold as mf
+    from mlp_ray.aggs.multifold import (make_emit, merge_payloads,
                                         merge_payload_rows)
     from mlp_ray.pipelines.analyze import (ATTR_COLUMNS, _analysis_jobs,
                                            apply_stage_chain)
@@ -259,10 +291,13 @@ def test_distributed_multifold_keeps_txn_groups_whole(fixture_paths):
         first["txn_retry_counter"], 0))).as_py() > 0
 
     jobs = {"txn": _analysis_jobs()["txn"]}
-    emit = make_emit(jobs, "distributed")
+    emit = make_emit(jobs)
     rows = pd.concat([emit(first), emit(second)], ignore_index=True)
     keys = ["txn_retry_counter", "termination_cause", "commit_type"]
-    dist = merge_payload_ds(rd.from_pandas(rows), jobs)["txn"]
+    calls = spy_exchange(monkeypatch)
+    monkeypatch.setattr(mf, "PAYLOAD_DRIVER_MAX_BYTES", 0)
+    dist = merge_payloads(rd.from_pandas(rows), jobs)["txn"]
+    assert calls == ["ds"]
     drv = merge_payload_rows(rows, jobs)["txn"]
     assert not dist.duplicated(keys).any()
     assert dist["txn_retry_counter"].isna().any()

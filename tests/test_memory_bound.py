@@ -40,7 +40,9 @@ def membound_paths(tmp_path_factory):
                                   tok_mean=16, chunks_per_file=8)
 
 
-def test_report_driver_rss_bounded(ray_session, membound_paths):
+def test_report_driver_rss_bounded(ray_session, membound_paths,
+                                   monkeypatch):
+    import mlp_ray.aggs.multifold as mf
     from mlp_ray.pipelines import analyze
 
     peak = [_rss_mb()]
@@ -55,15 +57,13 @@ def test_report_driver_rss_bounded(ray_session, membound_paths):
     th = threading.Thread(target=sampler, daemon=True)
     th.start()
     try:
-        # payload_driver_max_bytes=0 pins the (sink, bucket) exchange:
-        # the payload-size gate (multifold.PAYLOAD_DRIVER_MAX_BYTES)
-        # would otherwise route this corpus's small partials to the
-        # driver merge and the test would stop exercising the
-        # distributed path it guards
+        # a zero payload-size gate (multifold.PAYLOAD_DRIVER_MAX_BYTES)
+        # pins the (sink, bucket) exchange: the gate would otherwise
+        # route this corpus's small partials to the driver merge and
+        # the test would stop exercising the distributed path it guards
+        monkeypatch.setattr(mf, "PAYLOAD_DRIVER_MAX_BYTES", 0)
         res = analyze.run_full_analysis(membound_paths,
-                                        mode="distributed",
-                                        p95_mode="sketch",
-                                        payload_driver_max_bytes=0)
+                                        p95_mode="sketch")
     finally:
         stop[0] = True
         th.join()
@@ -79,3 +79,48 @@ def test_report_driver_rss_bounded(ray_session, membound_paths):
         f"driver RSS grew {delta:.0f} MB (> {_CAP_MB:.0f} MB cap) during "
         f"the distributed-merge report over {_ROWS} rows — a row-scale "
         "intermediate is being collected on the driver")
+
+
+def test_report_exchange_hands_driver_group_scale_tables(
+        ray_session, tmp_path, monkeypatch):
+    """The CLI's report (``run_full_analysis(None, ds=...)`` with its
+    default exact p95) through the (sink, bucket) exchange: every table
+    the driver finalizes holds settled group rows, so a union of the
+    input with itself (the CLI's ``--limit`` shape: the same groups,
+    twice the rows) hands the driver the same bytes.  Exact-p95 value
+    lists reaching the driver would double them."""
+    import mlp_ray.aggs.multifold as mf
+    from mlp_ray import synth
+    from mlp_ray.pipelines import analyze
+
+    paths = synth.write_events_tok(str(tmp_path), n_rows=20_000, seed=7,
+                                   tok_mean=4)
+    monkeypatch.setattr(mf, "PAYLOAD_DRIVER_MAX_BYTES", 0)
+    held: dict[str, int] = {}
+    orig_jobs = analyze._analysis_jobs
+
+    def spied_jobs(**kw):
+        jobs = orig_jobs(**kw)
+        for name, job in jobs.items():
+            def fin(t, name=name, orig=job.finalize):
+                held[name] = 0 if t is None else t.nbytes
+                return orig(t)
+            job.finalize = fin
+        return jobs
+
+    monkeypatch.setattr(analyze, "_analysis_jobs", spied_jobs)
+    once = analyze.run_full_analysis(None, ds=analyze.load_events(paths))
+    held_once = dict(held)
+    twice = analyze.run_full_analysis(None, ds=analyze.load_events(
+        paths).union(analyze.load_events(paths)))
+
+    lines = [int(r["processing_stats"]["total_lines"].iloc[0])
+             for r in (once, twice)]
+    assert lines == [20_000, 40_000]
+    assert len(twice["main_ops"]) == len(once["main_ops"]) > 0
+    assert held_once["main_ops"] > 0
+    # driver_stats hands the driver one row per client-metadata event
+    # (its per-driver rollup runs there), which the union doubles
+    del held_once["driver_stats"]
+    for name, nbytes in held_once.items():
+        assert held[name] <= nbytes * 1.05, (name, nbytes, held[name])

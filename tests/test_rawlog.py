@@ -58,6 +58,40 @@ def _agg(df: pd.DataFrame, keys):
     return g.sort_values(keys, kind="mergesort").reset_index(drop=True)
 
 
+def test_raw_report_defaults_merge_batch_rows_on_driver(log_paths,
+                                                        monkeypatch):
+    """A raw-log Dataset carries no input paths, and the report sizes
+    nothing from them: with default arguments it merges one payload row
+    per sink per emitted batch on the driver, and its tables equal the
+    driver merge with exact p95."""
+    import mlp_ray.aggs.multifold as mf
+    from mlp_ray.pipelines import analyze
+
+    parsed = rawlog.read_raw_logs(log_paths).map_batches(
+        rawlog.parse_batch, batch_format="pyarrow")
+    assert parsed.input_files() == []
+    seen = []
+    orig = mf.merge_payload_rows
+    monkeypatch.setattr(mf, "merge_payload_rows",
+                        lambda rows, jobs: (seen.append(rows),
+                                            orig(rows, jobs))[1])
+    got = analyze.run_full_analysis(None, ds=parsed, raw=True)
+    monkeypatch.undo()
+
+    (rows,) = seen
+    assert list(rows.columns) == ["sink", "payload"]
+    per_sink = rows["sink"].value_counts()
+    # processing_stats emits a row for every batch
+    assert per_sink.max() == per_sink["processing_stats"] >= 1
+    exp = mf.run_multi_fold(
+        analyze.classify(parsed),
+        analyze._analysis_jobs(p95_mode="exact", raw=True), mode="driver")
+    assert len(got) == 14 and list(got) == list(exp)
+    for name in exp:
+        pd.testing.assert_frame_equal(got[name], exp[name],
+                                      check_exact=True, obj=name)
+
+
 def test_roundtrip_sink_aggregates(parsed):
     """classify(parsed raw logs) == classify(original parquet events)
     on every order-independent sink dimension, modulo the raw path's

@@ -157,14 +157,17 @@ def test_invalid_utf8_is_counted_not_raised(tmp_path):
 
 def test_raw_read_blocks_hold_one_file_each(tmp_path):
     """Each file is read as a whole into its own block, every line
-    counted under its own path."""
+    counted under its own path, also with more CPUs than files (the
+    session has 4), where Ray would otherwise split the read."""
     import ray
 
     paths = rawlog.write_raw_log_fixture(str(tmp_path), 300, seed=2,
                                          n_shards=3)
-    ds = rawlog.read_raw_logs(paths, override_num_blocks=len(paths))
+    ds = rawlog.read_raw_logs(paths)
+    refs = ds.to_arrow_refs()
+    assert ray.cluster_resources()["CPU"] > len(refs) == len(paths)
     counts = {}
-    for ref in ds.to_arrow_refs():
+    for ref in refs:
         block = ray.get(ref)
         (path,) = set(block["path"].to_pylist())
         counts[path] = counts.get(path, 0) + block.num_rows

@@ -46,8 +46,7 @@ pytestmark = pytest.mark.skipif(
 def results(ray_session):
     parsed = rawlog.read_raw_logs(_LOGS).map_batches(
         rawlog.parse_batch, batch_format="pyarrow")
-    return analyze.run_full_analysis(None, ds=parsed, mode="driver",
-                                     p95_mode="exact", raw=True)
+    return analyze.run_full_analysis(None, ds=parsed, raw=True)
 
 
 @pytest.fixture(scope="module")

@@ -106,6 +106,16 @@ def test_report_sections(results, tmp_path):
     assert 0.0 <= idx["collscanPercent"] <= 100.0
 
 
+def test_op_stats_of_zero_counts_has_zero_percentages():
+    import pandas as pd
+
+    rep = report.build_report(
+        {"op_stats": pd.DataFrame({"op": ["find"], "count": [0]})})
+    assert rep["operationTypeStats"] == {
+        "total": 0, "types": [{"op": "find", "count": 0,
+                               "percentage": 0.0}]}
+
+
 def test_console_report(results):
     txt = report.console_report(results, top=3)
     assert "main_ops" in txt and "errors" in txt

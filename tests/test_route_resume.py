@@ -272,8 +272,7 @@ def test_analyze_kill_resume(fixture_paths, tmp_path, monkeypatch):
 
     from mlp_ray.pipelines import analyze
 
-    clean = analyze.run_full_analysis(fixture_paths, mode="driver",
-                                      p95_mode="exact")
+    clean = analyze.run_full_analysis(fixture_paths)
     wd = str(tmp_path / "ck")
     real = analyze.classify
     calls = {"n": 0}
@@ -376,8 +375,7 @@ def test_analyze_resume_basename_collision_and_stale_prune(
     res = analyze.run_full_analysis_resumable(paths, wd)
     man = analyze.completed_analysis_partitions(wd)
     assert len(man) == 2  # both partitions processed, no collision
-    clean = analyze.run_full_analysis(paths, mode="driver",
-                                      p95_mode="exact")
+    clean = analyze.run_full_analysis(paths)
     for k in clean:
         pd.testing.assert_frame_equal(
             _norm(res[k]), _norm(clean[k]))
@@ -385,8 +383,7 @@ def test_analyze_resume_basename_collision_and_stale_prune(
     # (b) rerun the SAME work_dir with only the first input: stale
     # partials from the dropped partition must not leak into the merge
     res1 = analyze.run_full_analysis_resumable([paths[0]], wd)
-    clean1 = analyze.run_full_analysis([paths[0]], mode="driver",
-                                       p95_mode="exact")
+    clean1 = analyze.run_full_analysis([paths[0]])
     for k in clean1:
         pd.testing.assert_frame_equal(
             _norm(res1[k]), _norm(clean1[k]))
@@ -443,8 +440,7 @@ def test_analyze_resume_recomputes_old_payload_format(fixture_paths,
     (wd / "manifest.json").write_text(json.dumps(man))
 
     res = analyze.run_full_analysis_resumable(fixture_paths, str(wd))
-    clean = analyze.run_full_analysis(fixture_paths, mode="driver",
-                                      p95_mode="exact")
+    clean = analyze.run_full_analysis(fixture_paths)
     for k in clean:
         pd.testing.assert_frame_equal(_norm(res[k]), _norm(clean[k]))
     man2 = analyze.completed_analysis_partitions(str(wd))
