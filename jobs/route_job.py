@@ -18,11 +18,11 @@ killed job picks up where it stopped (north-rule checkpoint
 requirement; the manifest protocol lives in
 ``mlp_ray/pipelines/route.py``, and the real-SIGKILL contract is
 pinned by tests/test_job_sigkill_resume.py).  NOTE: glob expansion is
-local-only, and the resume MANIFEST is per input path — a remote run
-should enumerate its part files with the object store's lister and
-pass them to ``route.route_partitioned`` directly (one path per
-partition keeps per-file resume granularity; a single directory URI
-routes correctly but resumes as one partition).
+local-only, and the resume MANIFEST is per input path (stem + path
+hash) — a remote run should list its part files with the object
+store's lister and pass them to ``route.route_partitioned`` (one path
+per partition keeps per-file resume granularity; a directory URI
+resumes as one partition).  Other options (``--no-redact``) re-route.
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ group-scale rows (ADVICE r1: exact-p95 value lists must not converge
 on driver memory).
 
 It also serves ``fold.fold_frame``/``run_fold`` (a ``FoldSpec`` as the
-one job, ``fold_job``) and the resumable report's persisted payloads
-(``merge_payloads``): only this module decides where partials merge.
+one job, ``fold_job``) and the checkpointed report's stored payloads
+(``route.RouterWriter``'s ``emit``): only this module decides where
+partials merge.
 
 Sink contract (``SinkJob``), Arrow until the final step:
   prep(batch: pa.Table) -> pa.Table | None      per-batch partial
@@ -45,10 +46,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-# Version tag of the persisted payload rows (``(sink, payload)`` rows
-# of Arrow IPC bytes); partials of
-# ``analyze.run_full_analysis_resumable`` written under another tag
-# are recomputed, never decoded.
+# Version tag of the stored payload rows (``(sink, payload)`` rows of
+# Arrow IPC bytes), part of the checkpointed report's run fingerprint
+# (``route._run_waves``): payloads committed under another tag are
+# recomputed, never decoded.
 PAYLOAD_FORMAT = "arrow-ipc-2"
 
 
@@ -110,11 +111,10 @@ def _payload_frame(sinks, payloads, buckets=None) -> pd.DataFrame:
 
 def make_emit(jobs: dict[str, SinkJob], mode: str = "driver"):
     """The per-batch partial-emit UDF shared by ``run_multi_fold`` and
-    the checkpointed ``analyze.run_full_analysis_resumable`` path:
-    every sink's prep runs over the batch and each non-empty partial
-    table leaves as one ``(sink, payload)`` IPC row; only the exchange
-    splits rows by key-hash bucket.  ``mode`` accepts only
-    ``"driver"``."""
+    the checkpointed report's route writer: every sink's prep runs
+    over the batch and each non-empty partial table leaves as one
+    ``(sink, payload)`` IPC row; only the exchange splits rows by
+    key-hash bucket.  ``mode`` accepts only ``"driver"``."""
     if mode != "driver":
         raise ValueError(f"make_emit: unknown mode {mode!r}")
 

@@ -530,142 +530,49 @@ def run_full_analysis(paths, *, redact: bool = True,
         mode="distributed")
 
 
-def analysis_partition_id(path: str) -> str:
-    """Stable partition id for ``run_full_analysis_resumable``: the
-    readable basename stem PLUS a hash of the FULL input path, so two
-    inputs with the same basename (e.g. shard dirs each holding an
-    ``events.log.gz``) never collide in the manifest/partials
-    namespace (ADVICE r4)."""
-    import hashlib
-
-    pid = os.path.splitext(os.path.basename(path))[0]
-    if pid.endswith(".log"):  # .log.gz → strip both suffixes
-        pid = os.path.splitext(pid)[0]
-    digest = hashlib.md5(os.path.abspath(path).encode()).hexdigest()[:10]
-    return f"{pid}-{digest}"
-
-
-def completed_analysis_partitions(work_dir: str) -> dict[str, dict]:
-    """Manifest of finished partitions for
-    ``run_full_analysis_resumable`` (pid → {"rows": n, "format":
-    payload format tag})."""
-    import json
-
-    path = os.path.join(work_dir, "manifest.json")
-    if not os.path.exists(path):
-        return {}
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def invalidate_analysis_partitions(work_dir: str, pids) -> None:
-    """Drop partitions from the manifest (and their persisted
-    partials) so the next resumable run recomputes them.
-
-    Manifest first, partials second: a crash between the two leaves a
-    partition that is UNcommitted but still has its partial on disk —
-    the resume recomputes and overwrites it, which is safe.  The
-    opposite order (delete partial, then rewrite manifest — the r4
-    code) left a committed pid with no data, silently dropping that
-    partition from the final merge (ADVICE r4)."""
-    import json
-
-    man = completed_analysis_partitions(work_dir)
-    pids = set(pids)
-    for pid in pids:
-        man.pop(pid, None)
-    tmp = os.path.join(work_dir, f"manifest.json.tmp-{os.getpid()}")
-    with open(tmp, "w") as fh:
-        json.dump(man, fh)
-    os.replace(tmp, os.path.join(work_dir, "manifest.json"))
-    for pid in pids:
-        p = os.path.join(work_dir, "partials", f"{pid}.parquet")
-        if os.path.exists(p):
-            os.remove(p)
-
-
-# Layout of a persisted partition's payload rows
-_PARTIALS_SCHEMA = pa.schema([("sink", pa.string()), ("payload", pa.binary())])
-
-
 def run_full_analysis_resumable(paths, work_dir: str, *,
                                 redact: bool = True, shards: bool = False,
                                 exclude: set[str] | frozenset = frozenset(),
                                 p95_mode: str = "exact", raw: bool = False,
                                 filter_config=None, ns_filter=None
                                 ) -> dict[str, pd.DataFrame]:
-    """CHECKPOINTED ``run_full_analysis``: one emit pass PER INPUT
-    PARTITION (file), its (sink, payload) partial rows
-    persisted under ``work_dir/partials/<pid>.parquet`` behind an
-    atomically-rewritten manifest — a killed run resumes by skipping
-    every manifest-committed partition and recomputing only the tail,
-    then the final merge reads the persisted partials alone.
+    """CHECKPOINTED ``run_full_analysis`` on route's resume protocol
+    (``pipelines/route.py``): each input file is one wave, whose route
+    writer writes no row sinks, only the file's ``(sink, payload)``
+    rows under ``work_dir/_payloads/part=<pid>/``, then commits it.  A
+    killed run resumes by skipping every partition committed under the
+    same options; the final merge (``multifold.merge_payloads``, the
+    tail ``run_full_analysis`` uses) reads the stored payloads of
+    ``paths``' partitions alone, in input order.  ``raw=True`` reads
+    raw logs, as route's ``raw_logs``.
 
     Correct because the multifold contract requires
     ``finalize(bucket_merge(partials))`` to distribute over any
-    partition of the inputs — the per-partition emit produces exactly
-    the same ``(sink, payload)`` rows the single-pass job would, just
-    persisted between passes.  Partial volume is groups × blocks per
-    partition (never row-scale), so the checkpoint cost is the
-    manifest write + a small parquet.  The persisted partials are read
-    back as one Dataset and merged by ``multifold.merge_payloads``, the
-    tail ``run_full_analysis`` uses (measured route)."""
-    import json
-
+    partition of the inputs.  Partial volume is groups × blocks per
+    partition (never row-scale), so the checkpoint cost is a commit
+    line + a small parquet."""
     import ray
 
-    from ..aggs.multifold import (PAYLOAD_FORMAT, emit_payloads, make_emit,
-                                  merge_payloads)
+    from ..aggs.multifold import (PAYLOAD_FORMAT, make_emit,
+                                  merge_payload_rows, merge_payloads)
+    from . import route
 
     jobs = _analysis_jobs(by_shard=shards, exclude=exclude,
                           p95_mode=p95_mode, raw=raw)
-    emit = make_emit(jobs)
-    part_dir = os.path.join(work_dir, "partials")
-    os.makedirs(part_dir, exist_ok=True)
-    manifest = completed_analysis_partitions(work_dir)
-
-    pids = {p: analysis_partition_id(p) for p in paths}
-    if len(set(pids.values())) != len(paths):
-        raise ValueError("duplicate input paths in resumable analysis")
-    for p in paths:
-        pid = pids[p]
-        part_file = os.path.join(part_dir, f"{pid}.parquet")
-        # committed-but-missing partial (e.g. a crash inside an older
-        # invalidate) is treated as uncommitted: recompute (ADVICE r4);
-        # so is a partial in another payload format (an older engine's
-        # pickled frames) — it is never decoded
-        if manifest.get(pid, {}).get("format") == PAYLOAD_FORMAT \
-                and os.path.exists(part_file):
-            continue
-        cds = classify(load_events([p]), redact=redact,
-                       filter_config=filter_config, ns_filter=ns_filter)
-        tbl = pa.concat_tables([_PARTIALS_SCHEMA.empty_table()] + [
-            t.cast(_PARTIALS_SCHEMA) for t in emit_payloads(
-                cds, emit).iter_batches(batch_size=None,
-                                        batch_format="pyarrow")])
-        tmp = os.path.join(part_dir, f"{pid}.parquet.tmp-{os.getpid()}")
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, os.path.join(part_dir, f"{pid}.parquet"))
-        manifest[pid] = {"rows": int(tbl.num_rows),
-                         "format": PAYLOAD_FORMAT}
-        mtmp = os.path.join(work_dir, f"manifest.json.tmp-{os.getpid()}")
-        with open(mtmp, "w") as fh:
-            json.dump(manifest, fh)
-        os.replace(mtmp, os.path.join(work_dir, "manifest.json"))
-
-    # Merge ONLY the current run's partitions: a reused work_dir may
-    # hold manifest entries / partials from inputs no longer in
-    # `paths` — merging every *.parquet on disk would silently inflate
-    # every sink with stale data (ADVICE r4).
-    files = sorted(os.path.join(part_dir, f"{pid}.parquet")
-                   for pid in pids.values())
-    missing = [f for f in files if not os.path.exists(f)]
-    if missing:
-        raise RuntimeError(
-            f"resumable analysis: {len(missing)} committed partition(s) "
-            f"missing partials, e.g. {missing[0]}")
-    # one block per file in file order (a parquet read yields blocks as
-    # they finish), so every run emits the groups in the same order
+    route._run_waves(
+        paths, work_dir, step=1, sinks=(), emit=make_emit(jobs),
+        redact=redact, raw_logs=raw, filter_config=filter_config,
+        ns_filter=ns_filter,
+        report={"shards": shards, "exclude": sorted(exclude),
+                "p95_mode": p95_mode, "format": PAYLOAD_FORMAT})
+    done = route.completed_partitions(work_dir)
+    files = [os.path.join(work_dir, route.PAYLOADS, f"part={pid}", f)
+             for pid in map(route.partition_id, paths)
+             for f in done[pid]["payloads"]]
+    if not files:
+        return merge_payload_rows(pd.DataFrame(), jobs)
+    # one block per file in input order (a parquet read yields blocks
+    # as they finish), so every run emits the groups in the same order
     read = ray.remote(pq.read_table)
     return merge_payloads(
         rd.from_arrow_refs([read.remote(f) for f in files]), jobs)

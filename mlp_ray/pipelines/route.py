@@ -12,17 +12,22 @@ read), so ALL pending partitions flow through a single Ray pipeline —
 full cluster parallelism — rather than one mini-pipeline per file.
 
 Resume semantics (north rule "checkpoints completed partitions so a
-killed job resumes without reprocessing"):
+killed job resumes without reprocessing"), shared by the
+checkpointed report (``analyze.run_full_analysis_resumable``):
   * partition = one input file (at 100 TB the input is many files, so
     file granularity is the natural resume unit; a zip archive is one
-    partition whatever it is named), named by its basename stem, so
-    input basenames must be distinct;
-  * a partition's outputs live under ``<sink>/part=<pid>/``;
+    partition whatever it is named), named by ``partition_id`` (stem +
+    path hash), so only a path given twice raises;
+  * a partition's outputs live under ``<sink>/part=<pid>/`` (the
+    report's payload rows under ``_payloads/part=<pid>/``);
   * completion is recorded as an atomic (tmp+rename) JSONL commit file
     ``_manifest/commit-*.jsonl`` — one line per completed partition —
-    after the routing pipeline for that batch of partitions finished;
-  * on restart, manifested partitions are skipped; an unmanifested
-    partition's stale output dirs are cleared and re-run;
+    after the routing pipeline for that wave of partitions finished,
+    with the run's fingerprint (``redact``, ``raw_logs``, the user
+    filters; for the report also its options and ``PAYLOAD_FORMAT``);
+  * on restart, partitions committed under the run's fingerprint (and
+    with their payload files) are skipped; any other partition's stale
+    output dirs are cleared and it is re-run;
   * batch output files are named by a content hash of their doc_id
     range, so a retried Ray task overwrites rather than duplicates
     (idempotent under task retries).
@@ -49,7 +54,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..util import read_blocks, session_cpus
-from .analyze import ATTR_COLUMNS, classify
+from . import analyze
 
 # sink → (mask column, carried columns); tokens ride only through the
 # ops sink (the routed-row token-equality target) — other sinks stay
@@ -69,27 +74,32 @@ ROUTES: dict[str, tuple[str, list[str]]] = {
 }
 
 
-def _partition_id(path: str) -> str:
-    # the input file's basename stem: a zip member's rows carry the
-    # archive they were read from as their path, so the writer, the
-    # manifest and the stale cleanup all name the archive
-    return os.path.splitext(os.path.basename(path))[0]
+# the report's payload rows, stored beside the row sinks
+PAYLOADS = "_payloads"
+
+
+def partition_id(path: str) -> str:
+    """The input's basename stem plus a short hash of the path string,
+    which the writer reads from each row's ``path``: Ray keeps a local
+    path as given (so no ``abspath``: a worker's cwd may differ) and
+    drops a remote path's scheme, as this does.  A zip member's rows
+    carry the archive's path, so every step names the archive."""
+    path = path.split("://", 1)[-1]
+    digest = hashlib.blake2b(path.encode(), digest_size=5).hexdigest()
+    return f"{os.path.splitext(os.path.basename(path))[0]}-{digest}"
 
 
 class RouterWriter:
     """Route-write step: split a classified batch by route masks and
-    write each sink's slice under its partition dir; return lineage."""
+    write each of ``sinks``' slices under its partition dir, and with
+    ``emit`` (``multifold.make_emit``) each partition slice's payload
+    rows under ``_payloads/part=<pid>/``; return lineage (one row per
+    file written, its basename in ``file``)."""
 
-    def __init__(self, out_dir: str):
+    def __init__(self, out_dir: str, sinks=tuple(ROUTES), emit=None):
         self.out_dir = out_dir
-
-    def _pdir(self, sink: str, pid: str) -> str:
-        d = os.path.join(self.out_dir, sink, f"part={pid}")
-        # always ensure-exists: a resume's stale-output cleanup may
-        # have removed the dir since an earlier call created it, and
-        # an exists-check cache would then write into nothing
-        os.makedirs(d, exist_ok=True)
-        return d
+        self.sinks = sinks
+        self.emit = emit
 
     def _sample_ignored(self, t: pa.Table) -> pa.Table:
         # 1-in-100 deterministic sample of ignored lines
@@ -118,30 +128,46 @@ class RouterWriter:
                 keep[i] = h % 100 == 0
         return t.filter(pa.array(keep, pa.bool_()))
 
+    def _write(self, sink: str, pid: str, t: pa.Table, ids, rows_in: int,
+               t0: float, lineage: list):
+        tag = hashlib.blake2b(
+            f"{ids[0].as_py()}|{ids[-1].as_py()}|{len(ids)}".encode(),
+            digest_size=8).hexdigest()
+        # always ensure-exists: a resume's stale-output cleanup may
+        # have removed the dir since an earlier call created it, and
+        # an exists-check cache would then write into nothing
+        pdir = os.path.join(self.out_dir, sink, f"part={pid}")
+        os.makedirs(pdir, exist_ok=True)
+        path = os.path.join(pdir, f"b-{tag}.parquet")
+        tmp = path + f".tmp-{os.getpid()}"
+        # routed sinks are intermediates re-read by the aggregate
+        # stage; lz4 trades a few % size for much lower encode CPU
+        # than zstd
+        pq.write_table(t, tmp, compression="lz4")
+        os.replace(tmp, path)
+        lineage.append({
+            "partition_id": pid, "sink": sink, "file": os.path.basename(path),
+            "rows_in": rows_in, "rows_out": t.num_rows,
+            "bytes_out": os.path.getsize(path),
+            "wall_ms": (time.perf_counter() - t0) * 1000.0,
+        })
+
     def _write_one(self, pid: str, part: pa.Table, t0: float, lineage: list):
-        for sink, (mask_col, cols) in ROUTES.items():
+        for sink in self.sinks:
+            mask_col, cols = ROUTES[sink]
             sub = part.filter(part[mask_col]).select(
                 [c for c in cols if c in part.column_names])
             if sink == "ignored_sample" and sub.num_rows:
                 sub = self._sample_ignored(sub)
-            if not sub.num_rows:
-                continue
-            tag = hashlib.blake2b(
-                f"{sub['doc_id'][0].as_py()}|{sub['doc_id'][-1].as_py()}|"
-                f"{sub.num_rows}".encode(), digest_size=8).hexdigest()
-            path = os.path.join(self._pdir(sink, pid), f"b-{tag}.parquet")
-            tmp = path + f".tmp-{os.getpid()}"
-            # routed sinks are intermediates re-read by the aggregate
-            # stage; lz4 trades a few % size for much lower encode CPU
-            # than zstd
-            pq.write_table(sub, tmp, compression="lz4")
-            os.replace(tmp, path)
-            lineage.append({
-                "partition_id": pid, "sink": sink,
-                "rows_in": part.num_rows, "rows_out": sub.num_rows,
-                "bytes_out": os.path.getsize(path),
-                "wall_ms": (time.perf_counter() - t0) * 1000.0,
-            })
+            if sub.num_rows:
+                self._write(sink, pid, sub, sub["doc_id"], part.num_rows,
+                            t0, lineage)
+        if self.emit is not None:
+            payload = pa.Table.from_pandas(self.emit(part),
+                                           preserve_index=False)
+            if payload.num_rows:
+                self._write(PAYLOADS, pid, payload, part["doc_id"],
+                            part.num_rows, t0, lineage)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         t0 = time.perf_counter()
@@ -153,10 +179,10 @@ class RouterWriter:
         for p in distinct.to_pylist():
             part = batch.filter(pc.equal(paths, p)) \
                 if len(distinct) > 1 else batch
-            self._write_one(_partition_id(p), part, t0, lineage)
+            self._write_one(partition_id(p), part, t0, lineage)
         if not lineage:
-            lineage.append({"partition_id": _partition_id(
-                distinct[0].as_py()), "sink": "none",
+            lineage.append({"partition_id": partition_id(
+                distinct[0].as_py()), "sink": "none", "file": "",
                 "rows_in": batch.num_rows, "rows_out": 0,
                 "bytes_out": 0, "wall_ms": 0.0})
         return pa.Table.from_pylist(lineage)
@@ -186,9 +212,9 @@ def completed_partitions(out_dir: str) -> dict[str, dict]:
 
 
 def invalidate_partitions(out_dir: str, pids) -> None:
-    """Drop partitions from the manifest so the next
-    ``route_partitioned`` re-processes them (e.g. after detecting a
-    corrupt output)."""
+    """Drop partitions from the manifest so the next run over
+    ``out_dir`` re-processes them (e.g. after detecting a corrupt
+    output); that run clears their stale output first."""
     pids = set(pids)
     mdir = _manifest_dir(out_dir)
     if not os.path.isdir(mdir):
@@ -208,52 +234,127 @@ def invalidate_partitions(out_dir: str, pids) -> None:
             os.replace(tmp, p)
 
 
-def _route_wave(wave: list[str], out_dir: str, *, redact,
-                override_num_blocks, raw_logs) -> pd.DataFrame:
-    """One streaming pipeline over one wave of input partitions: the
-    report's ``classify`` stage, then the route writer."""
-    t0 = time.perf_counter()
+def _fingerprint(**options) -> str:
+    """What shaped a partition's output, as a short hash (a filter by
+    its state), equal for equal options in any process."""
+    blob = json.dumps(options, sort_keys=True, default=lambda o: sorted(o)
+                      if isinstance(o, set) else [type(o).__name__, vars(o)])
+    return hashlib.blake2b(blob.encode(), digest_size=8).hexdigest()
+
+
+def _read_wave(wave: list[str], *, raw_logs: bool, columns: list[str],
+               override_num_blocks: int | None) -> rd.Dataset:
+    """A wave's rows with their input ``path``."""
     if raw_logs:
         from ..sources import rawlog
-        ds = rawlog.read_raw_logs(wave).map_batches(
+        return rawlog.read_raw_logs(wave).map_batches(
             rawlog.parse_batch, batch_format="pyarrow")
-    else:
-        ds = rd.read_parquet(wave,
-                             columns=ATTR_COLUMNS + ["tokens", "n_tok"],
-                             include_paths=True,
-                             override_num_blocks=override_num_blocks
-                             or read_blocks(wave, session_cpus()))
-    lin = classify(ds, redact=redact).map_batches(
-        RouterWriter(out_dir), batch_format="pyarrow").to_pandas()
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    lin = (lin[lin["sink"] != "none"]
-           .groupby(["partition_id", "sink"], as_index=False)
-           .agg(rows_out=("rows_out", "sum"), bytes_out=("bytes_out", "sum"),
-                batches=("rows_out", "size")))
-    lin["wall_ms"] = wall_ms
-    return lin
+    return rd.read_parquet(wave, columns=columns, include_paths=True,
+                           override_num_blocks=override_num_blocks
+                           or read_blocks(wave, session_cpus()))
 
 
-def _commit_wave(wave: list[str], lin: pd.DataFrame, out_dir: str) -> None:
+def _route_wave(wave: list[str], out_dir: str, *, redact, raw_logs,
+                override_num_blocks=None, sinks=tuple(ROUTES), emit=None,
+                filter_config=None, ns_filter=None) -> pd.DataFrame:
+    """One streaming pipeline over one wave of input partitions: the
+    report's ``classify`` stage, then the route writer; returns the
+    writer's lineage rows, in input order when it ``emit``s payloads
+    (they are merged in that order)."""
+    t0 = time.perf_counter()
+    carried = {c for s in sinks for c in ROUTES[s][1]}
+    ds = _read_wave(wave, raw_logs=raw_logs,
+                    columns=analyze.ATTR_COLUMNS + [
+                        c for c in ("tokens", "n_tok") if c in carried],
+                    override_num_blocks=override_num_blocks)
+    ds = analyze.classify(ds, redact=redact, filter_config=filter_config,
+                          ns_filter=ns_filter).map_batches(
+        RouterWriter(out_dir, sinks, emit), batch_format="pyarrow")
+    if emit is not None:
+        ds.context.execution_options.preserve_order = True
+    # (a wave of empty inputs: Ray's to_pandas of no rows has no columns)
+    lin = ds.to_pandas().reindex(columns=["partition_id", "sink", "file",
+                                          "rows_out", "bytes_out"])
+    return lin[lin["sink"] != "none"].assign(
+        wall_ms=(time.perf_counter() - t0) * 1000.0)
+
+
+def _commit_wave(wave: list[str], lin: pd.DataFrame, out_dir: str,
+                 fingerprint: str) -> None:
     # one atomic JSONL commit per wave — vectorized build, O(waves)
     # manifest files (a per-partition .json loop was a 40 s driver-side
     # stall at 3k input files)
     sink_map: dict[str, dict[str, int]] = {}
-    for pid, sink, rows in zip(lin["partition_id"], lin["sink"],
-                               lin["rows_out"]):
-        sink_map.setdefault(pid, {})[sink] = int(rows)
+    payloads: dict[str, list[str]] = {}
+    for pid, sink, rows, f in zip(lin["partition_id"], lin["sink"],
+                                  lin["rows_out"], lin["file"]):
+        sinks = sink_map.setdefault(pid, {})
+        sinks[sink] = sinks.get(sink, 0) + int(rows)
+        if sink == PAYLOADS:
+            payloads.setdefault(pid, []).append(f)
     wall_ms = float(lin["wall_ms"].iloc[0]) if len(lin) else 0.0
     mpath = os.path.join(_manifest_dir(out_dir),
                          f"commit-{uuid.uuid4().hex[:12]}.jsonl")
     tmp = mpath + ".tmp"
     with open(tmp, "w") as fh:
         for path in wave:
-            pid = _partition_id(path)
+            pid = partition_id(path)
             fh.write(json.dumps({
                 "partition_id": pid, "status": "complete", "input": path,
                 "sinks": sink_map.get(pid, {}), "wall_ms": wall_ms,
+                "fingerprint": fingerprint,
+                "payloads": payloads.get(pid, []),
             }) + "\n")
     os.replace(tmp, mpath)
+
+
+def _run_waves(input_files: list[str], out_dir: str, *, step: int | None,
+               report: dict | None = None, **opts) -> pd.DataFrame:
+    """The resume protocol: skip the partitions committed under this
+    run's fingerprint (the wave ``opts`` plus the ``report``'s), clear
+    the others' stale output and records, then route them in waves of
+    ``step`` partitions (one wave for ``None``), committing each."""
+    pids = [partition_id(p) for p in input_files]
+    if len(set(pids)) != len(pids):
+        raise ValueError("an input path is given twice "
+                         "(two route inputs share a partition id)")
+    fingerprint = _fingerprint(report=report, **{k: opts.get(k) for k in (
+        "redact", "raw_logs", "filter_config", "ns_filter")})
+    os.makedirs(_manifest_dir(out_dir), exist_ok=True)
+    done = completed_partitions(out_dir)
+    todo = [p for p, pid in zip(input_files, pids)
+            if done.get(pid, {}).get("fingerprint") != fingerprint
+            or not all(os.path.exists(os.path.join(
+                out_dir, PAYLOADS, f"part={pid}", f))
+                for f in done[pid]["payloads"])]
+    if not todo:
+        return pd.DataFrame(columns=["partition_id", "sink", "rows_out",
+                                     "bytes_out", "batches", "wall_ms"])
+    stale = {partition_id(p) for p in todo} & set(done)
+    if stale:
+        invalidate_partitions(out_dir, stale)
+    # clear stale output from a crashed attempt or another run's options
+    for path in todo:
+        for sink in (*ROUTES, PAYLOADS):
+            pdir = os.path.join(out_dir, sink, f"part={partition_id(path)}")
+            if os.path.isdir(pdir):
+                shutil.rmtree(pdir)
+    step = step or len(todo)
+    lins = []
+    for w0 in range(0, len(todo), step):
+        wave = todo[w0:w0 + step]
+        lin = _route_wave(wave, out_dir, **opts)
+        if opts.get("emit") and not set(lin["partition_id"]) <= set(pids):
+            # a dir's rows carry its files' paths: no input's partition
+            raise ValueError("payload inputs must be files, not dirs")
+        _commit_wave(wave, lin, out_dir, fingerprint)
+        lins.append(lin.groupby(["partition_id", "sink"], as_index=False)
+                    .agg(rows_out=("rows_out", "sum"),
+                         bytes_out=("bytes_out", "sum"),
+                         batches=("rows_out", "size"))
+                    .assign(wall_ms=lin["wall_ms"].iloc[0]
+                            if len(lin) else 0.0))
+    return pd.concat(lins, ignore_index=True)
 
 
 def route_partitioned(input_files: list[str], out_dir: str, *,
@@ -261,8 +362,8 @@ def route_partitioned(input_files: list[str], out_dir: str, *,
                       commit_every: int | None = None,
                       override_num_blocks: int | None = None,
                       raw_logs: bool = False) -> pd.DataFrame:
-    """Route every not-yet-completed input partition; returns lineage
-    (one row per partition × sink).
+    """Route every input partition not yet committed under these
+    options; returns lineage (one row per partition × sink).
 
     A wave is ``analyze.classify`` (the report's classify → redact →
     enrich task) followed by ``RouterWriter``, both plain tasks, so Ray
@@ -285,37 +386,12 @@ def route_partitioned(input_files: list[str], out_dir: str, *,
     pipeline (~1-2 s fixed cost), so size waves to hundreds of files on
     long jobs; ``None`` (default) = single wave, used by short benches.
 
-    The partition id is the input's basename stem, so two inputs with
-    the same stem (``a/events.parquet``, ``b/events.parquet``) would
-    share one manifest entry and output dir: that raises ``ValueError``
-    before anything is cleared or written."""
-    pids = [_partition_id(p) for p in input_files]
-    if len(set(pids)) != len(pids):
-        raise ValueError("two route inputs share a partition id "
-                         "(the basename stem)")
-    os.makedirs(_manifest_dir(out_dir), exist_ok=True)
-    done = completed_partitions(out_dir)
-    todo = [p for p in input_files if _partition_id(p) not in done]
-    if not todo:
-        return pd.DataFrame(columns=["partition_id", "sink", "rows_out",
-                                     "bytes_out", "batches", "wall_ms"])
-    # clear stale partial output from a previous crashed attempt
-    for path in todo:
-        pid = _partition_id(path)
-        for sink in ROUTES:
-            pdir = os.path.join(out_dir, sink, f"part={pid}")
-            if os.path.isdir(pdir):
-                shutil.rmtree(pdir)
-    step = commit_every or len(todo)
-    lins = []
-    for w0 in range(0, len(todo), step):
-        wave = todo[w0:w0 + step]
-        lin = _route_wave(wave, out_dir, redact=redact,
-                          override_num_blocks=override_num_blocks,
-                          raw_logs=raw_logs)
-        _commit_wave(wave, lin, out_dir)
-        lins.append(lin)
-    return pd.concat(lins, ignore_index=True)
+    A partition committed under another ``redact`` or ``raw_logs`` is
+    re-routed.  The same path given twice raises ``ValueError`` before
+    anything is cleared or written."""
+    return _run_waves(input_files, out_dir, step=commit_every,
+                      redact=redact, raw_logs=raw_logs,
+                      override_num_blocks=override_num_blocks)
 
 
 def read_sink(out_dir: str, sink: str, columns: list[str] | None = None,

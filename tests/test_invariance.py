@@ -226,18 +226,23 @@ def test_report_row_order_does_not_depend_on_block_finish_order(
 
 def test_resumable_row_order_does_not_depend_on_block_finish_order(
         fixture_paths, tmp_path, monkeypatch):
-    """The same for the checkpointed report, whose per-file emit pass
-    persists one file's payload rows: a file read as several blocks
-    must persist them in input order."""
-    from mlp_ray.pipelines import analyze
+    """The same for the checkpointed report, whose per-file route wave
+    stores one payload file per read block: a file read as several
+    blocks must have them merged in input order."""
+    from mlp_ray.pipelines import analyze, route
 
-    path, load = fixture_paths[0], analyze.load_events
-    assert load([path], override_num_blocks=4).materialize().num_blocks() > 1
-    monkeypatch.setattr(analyze, "load_events",
-                        lambda p: load(p, override_num_blocks=4))
+    path, read = fixture_paths[0], route._read_wave
+
+    def read4(wave, **kw):
+        return read(wave, **{**kw, "override_num_blocks": 4})
+
+    assert read4([path], raw_logs=False, columns=["doc_id"],
+                 override_num_blocks=None).materialize().num_blocks() > 1
+    monkeypatch.setattr(route, "_read_wave", read4)
     want = analyze.run_full_analysis_resumable([path], str(tmp_path / "a"),
                                                shards=True)
-    monkeypatch.setattr(analyze, "load_events", lambda p: _hold_first_block(
-        load(p, override_num_blocks=4), path, str(tmp_path / "marks")))
+    monkeypatch.setattr(route, "_read_wave", lambda wave, **kw:
+                        _hold_first_block(read4(wave, **kw), path,
+                                          str(tmp_path / "marks")))
     _assert_same_tables(analyze.run_full_analysis_resumable(
         [path], str(tmp_path / "b"), shards=True), want)

@@ -19,7 +19,7 @@ def test_route_and_resume(fixture_paths, tmp_path):
     out = str(tmp_path / "routed")
     lineage = route.route_partitioned(fixture_paths, out)
     assert set(lineage["partition_id"]) == {
-        os.path.splitext(os.path.basename(p))[0] for p in fixture_paths}
+        route.partition_id(p) for p in fixture_paths}
 
     cdf = oracle.classify_df(oracle.load(fixture_paths))
 
@@ -96,19 +96,19 @@ def test_crash_midrun_resumes_committed_waves(fixture_paths, tmp_path,
     lin2 = route.route_partitioned(fixture_paths, out, commit_every=1)
     # resume touched only the partitions the crash lost
     assert set(lin2["partition_id"]) == {
-        os.path.splitext(os.path.basename(p))[0]
-        for p in fixture_paths} - set(committed)
+        route.partition_id(p) for p in fixture_paths} - set(committed)
 
     cdf = oracle.classify_df(oracle.load(fixture_paths))
     assert _routed_doc_ids(out, "slow_ops") == sorted(
         cdf.loc[cdf["r_ops"], "doc_id"])
 
 
-def test_route_rejects_inputs_sharing_a_partition_id(fixture_paths,
-                                                    tmp_path):
-    """Two inputs with the same basename would share one partition id,
-    so a resume would skip the second as done: route raises before it
-    clears or writes anything."""
+def test_route_same_basename_inputs_are_separate_partitions(
+        fixture_paths, tmp_path):
+    """Two ``events.parquet`` inputs in different dirs are two
+    partitions: each routes all its rows, a resume skips both, and
+    invalidating one re-routes only that one.  Only the same path
+    given twice raises, before anything is cleared or written."""
     import shutil
 
     import pytest
@@ -118,14 +118,33 @@ def test_route_rejects_inputs_sharing_a_partition_id(fixture_paths,
     shutil.copy(fixture_paths[0], d1 / "events.parquet")
     shutil.copy(fixture_paths[1], d2 / "events.parquet")
     paths = [str(d1 / "events.parquet"), str(d2 / "events.parquet")]
+    pids = [route.partition_id(p) for p in paths]
+    assert pids[0] != pids[1]
     out = str(tmp_path / "routed")
-    route.route_partitioned(paths[:1], out)
-    before = _routed_doc_ids(out, "slow_ops")
+    lin = route.route_partitioned(paths, out)
+    assert set(lin["partition_id"]) == set(pids)
+    cdf = oracle.classify_df(oracle.load(fixture_paths[:2]))
+    want = sorted(cdf.loc[cdf["r_ops"], "doc_id"])
+    assert _routed_doc_ids(out, "slow_ops") == want
+    for path, pid in zip(paths, pids):
+        part = pq.read_table(os.path.join(out, "slow_ops", f"part={pid}"),
+                             columns=["doc_id"])["doc_id"].to_pylist()
+        one = oracle.classify_df(oracle.load([path]))
+        assert sorted(part) == sorted(one.loc[one["r_ops"], "doc_id"])
+    man = route.completed_partitions(out)
+    assert set(man) == set(pids)
+
+    assert route.route_partitioned(paths, out).empty
+    route.invalidate_partitions(out, {pids[1]})
+    lin2 = route.route_partitioned(paths, out)
+    assert set(lin2["partition_id"]) == {pids[1]}
+    assert _routed_doc_ids(out, "slow_ops") == want
+
     man = route.completed_partitions(out)
     with pytest.raises(ValueError):
-        route.route_partitioned(paths, out)
+        route.route_partitioned([paths[0], paths[0]], out)
     assert route.completed_partitions(out) == man
-    assert _routed_doc_ids(out, "slow_ops") == before
+    assert _routed_doc_ids(out, "slow_ops") == want
 
 
 def test_route_redact_flag_matches_classify(fixture_paths, tmp_path):
@@ -211,10 +230,12 @@ def test_route_raw_zip_partition_identity(tmp_path):
                     gz.compress(("\n".join(lines[200:]) + "\n").encode()))
     out = str(tmp_path / "routed")
     lin = route.route_partitioned([str(zpath)], out, raw_logs=True)
-    assert set(lin["partition_id"]) == {"cluster0-shard-07-00"}
+    pid = route.partition_id(str(zpath))
+    assert pid.startswith("cluster0-shard-07-00-")
+    assert set(lin["partition_id"]) == {pid}
     import os
     parts = os.listdir(os.path.join(out, "slow_ops"))
-    assert parts == ["part=cluster0-shard-07-00"]
+    assert parts == [f"part={pid}"]
     assert route.route_partitioned([str(zpath)], out, raw_logs=True).empty
 
 
@@ -238,14 +259,15 @@ def test_route_zip_not_named_zip_reroutes_by_archive(tmp_path):
     write_zip(zpath, lines)
     out = str(tmp_path / "routed")
     lin = route.route_partitioned([str(zpath)], out, raw_logs=True)
-    assert set(lin["partition_id"]) == {"cluster0-shard-02-00"}
-    assert os.listdir(os.path.join(out, "slow_ops")) == [
-        "part=cluster0-shard-02-00"]
+    pid = route.partition_id(str(zpath))
+    assert pid.startswith("cluster0-shard-02-00-")
+    assert set(lin["partition_id"]) == {pid}
+    assert os.listdir(os.path.join(out, "slow_ops")) == [f"part={pid}"]
     (rec,) = route.completed_partitions(out).values()
-    assert rec["partition_id"] == "cluster0-shard-02-00" and rec["sinks"]
+    assert rec["partition_id"] == pid and rec["sinks"]
 
     write_zip(zpath, lines[:200])
-    route.invalidate_partitions(out, ["cluster0-shard-02-00"])
+    route.invalidate_partitions(out, [pid])
     route.route_partitioned([str(zpath)], out, raw_logs=True)
     fresh = str(tmp_path / "fresh")
     route.route_partitioned([str(zpath)], fresh, raw_logs=True)
@@ -288,7 +310,7 @@ def test_analyze_kill_resume(fixture_paths, tmp_path, monkeypatch):
         analyze.run_full_analysis_resumable(fixture_paths, wd)
     monkeypatch.setattr(analyze, "classify", real)
 
-    man = analyze.completed_analysis_partitions(wd)
+    man = route.completed_partitions(wd)
     assert len(man) == 1  # partition 1 committed before the kill
 
     calls2 = {"n": 0}
@@ -301,7 +323,7 @@ def test_analyze_kill_resume(fixture_paths, tmp_path, monkeypatch):
     res = analyze.run_full_analysis_resumable(fixture_paths, wd)
     # resume processed ONLY the partitions the kill lost
     assert calls2["n"] == len(fixture_paths) - 1
-    man2 = analyze.completed_analysis_partitions(wd)
+    man2 = route.completed_partitions(wd)
     assert len(man2) == len(fixture_paths)
 
     assert set(res) == set(clean)
@@ -310,7 +332,7 @@ def test_analyze_kill_resume(fixture_paths, tmp_path, monkeypatch):
 
     # invalidation: dropping one partition recomputes exactly it
     victim = sorted(man2)[0]
-    analyze.invalidate_analysis_partitions(wd, {victim})
+    route.invalidate_partitions(wd, {victim})
     calls3 = {"n": 0}
 
     def counting3(ds, **kw):
@@ -368,12 +390,12 @@ def test_analyze_resume_basename_collision_and_stale_prune(
     shutil.copy(fixture_paths[0], d1 / "events.parquet")
     shutil.copy(fixture_paths[1], d2 / "events.parquet")
     paths = [str(d1 / "events.parquet"), str(d2 / "events.parquet")]
-    assert analyze.analysis_partition_id(paths[0]) != \
-        analyze.analysis_partition_id(paths[1])
+    assert route.partition_id(paths[0]) != \
+        route.partition_id(paths[1])
 
     wd = str(tmp_path / "ck")
     res = analyze.run_full_analysis_resumable(paths, wd)
-    man = analyze.completed_analysis_partitions(wd)
+    man = route.completed_partitions(wd)
     assert len(man) == 2  # both partitions processed, no collision
     clean = analyze.run_full_analysis(paths)
     for k in clean:
@@ -400,11 +422,12 @@ def test_analyze_invalidate_crash_window_recomputes(
 
     wd = str(tmp_path / "ck")
     clean = analyze.run_full_analysis_resumable(fixture_paths, wd)
-    man = analyze.completed_analysis_partitions(wd)
+    man = route.completed_partitions(wd)
     victim = sorted(man)[0]
-    os.remove(os.path.join(wd, "partials", f"{victim}.parquet"))
+    os.remove(os.path.join(wd, route.PAYLOADS, f"part={victim}",
+                           man[victim]["payloads"][0]))
     # manifest still claims the victim is committed — the run must
-    # notice the missing partial and recompute it
+    # notice the missing payload file and recompute it
     res = analyze.run_full_analysis_resumable(fixture_paths, wd)
     for k in clean:
         pd.testing.assert_frame_equal(_norm(res[k]), _norm(clean[k]))
@@ -412,10 +435,11 @@ def test_analyze_invalidate_crash_window_recomputes(
 
 def test_analyze_resume_recomputes_old_payload_format(fixture_paths,
                                                       tmp_path):
-    """A work_dir from an engine that persisted pickled pandas payloads
-    (manifest entries without the payload-format tag) must not be
-    decoded: its partitions count as uncommitted and are recomputed,
-    like a committed partition whose partial is missing."""
+    """A work_dir whose commits carry another run fingerprint (here: an
+    engine that stored pickled pandas payloads) must not be decoded:
+    its partitions count as uncommitted, their payload files are
+    cleared and recomputed, like a committed partition whose payload
+    file is missing."""
     import json
     import pickle
 
@@ -423,26 +447,145 @@ def test_analyze_resume_recomputes_old_payload_format(fixture_paths,
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from mlp_ray.aggs.multifold import PAYLOAD_FORMAT
     from mlp_ray.pipelines import analyze
 
     wd = tmp_path / "ck"
-    (wd / "partials").mkdir(parents=True)
-    man = {}
+    (wd / "_manifest").mkdir(parents=True)
+    recs = []
     for p in fixture_paths:
-        pid = analyze.analysis_partition_id(p)
+        pid = route.partition_id(p)
         stale = pd.DataFrame({"ns": ["stale.ns"], "count": [10 ** 6]})
+        pdir = wd / route.PAYLOADS / f"part={pid}"
+        pdir.mkdir(parents=True)
         pq.write_table(pa.table({
             "sink": ["main_ops"], "bucket": pa.array([0], pa.int64()),
             "payload": pa.array([pickle.dumps(stale)], pa.binary())}),
-            wd / "partials" / f"{pid}.parquet")
-        man[pid] = {"rows": 1}
-    (wd / "manifest.json").write_text(json.dumps(man))
+            pdir / "b-old.parquet")
+        recs.append({"partition_id": pid, "status": "complete", "input": p,
+                     "sinks": {route.PAYLOADS: 1}, "wall_ms": 0.0,
+                     "fingerprint": "pickled-pandas",
+                     "payloads": ["b-old.parquet"]})
+    (wd / "_manifest" / "commit-old.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in recs))
 
     res = analyze.run_full_analysis_resumable(fixture_paths, str(wd))
     clean = analyze.run_full_analysis(fixture_paths)
     for k in clean:
         pd.testing.assert_frame_equal(_norm(res[k]), _norm(clean[k]))
-    man2 = analyze.completed_analysis_partitions(str(wd))
-    assert set(man2) == set(man)
-    assert {e["format"] for e in man2.values()} == {PAYLOAD_FORMAT}
+    man2 = route.completed_partitions(str(wd))
+    assert set(man2) == {r["partition_id"] for r in recs}
+    assert len({e["fingerprint"] for e in man2.values()}) == 1
+    assert "pickled-pandas" not in {e["fingerprint"] for e in man2.values()}
+    assert not list((wd / route.PAYLOADS).rglob("b-old.parquet"))
+
+
+def test_route_resume_reroutes_partitions_of_other_options(fixture_paths,
+                                                          tmp_path):
+    """A partition committed under ``redact=False`` is re-routed by a
+    ``redact=True`` run on the same ``out``: its ``sanitized_query``
+    values equal a fresh redacted route's, per doc_id.  A second run
+    with the same options routes nothing."""
+    import pandas as pd
+
+    cols = ["doc_id", "sanitized_query"]
+
+    def ops(out):
+        return (pq.read_table(os.path.join(out, "slow_ops"), columns=cols)
+                .to_pandas().sort_values("doc_id", ignore_index=True))
+
+    out, fresh = str(tmp_path / "routed"), str(tmp_path / "fresh")
+    route.route_partitioned(fixture_paths, out, redact=False)
+    plain = ops(out)
+    lin = route.route_partitioned(fixture_paths, out, redact=True)
+    route.route_partitioned(fixture_paths, fresh, redact=True)
+    pd.testing.assert_frame_equal(ops(out), ops(fresh))
+    assert not ops(out).equals(plain)
+    assert set(lin["partition_id"]) == {
+        route.partition_id(p) for p in fixture_paths}
+    assert route.route_partitioned(fixture_paths, out, redact=True).empty
+
+
+def _count_classify(monkeypatch):
+    from mlp_ray.pipelines import analyze
+
+    real, calls = analyze.classify, {"n": 0}
+
+    def counting(ds, **kw):
+        calls["n"] += 1
+        return real(ds, **kw)
+
+    monkeypatch.setattr(analyze, "classify", counting)
+    return calls
+
+
+def test_analyze_resume_recomputes_partitions_of_other_options(
+        fixture_paths, tmp_path, monkeypatch):
+    """One work dir reused under other report options: each run equals
+    a fresh ``run_full_analysis`` with its options (no stale payloads
+    are merged), and a second identical run re-runs nothing."""
+    import pandas as pd
+
+    from mlp_ray.pipelines import analyze
+
+    wd = str(tmp_path / "ck")
+    for opts in ({"redact": True}, {"redact": False}, {"shards": True},
+                 {"p95_mode": "sketch"}):
+        res = analyze.run_full_analysis_resumable(fixture_paths, wd, **opts)
+        clean = analyze.run_full_analysis(fixture_paths, **opts)
+        assert set(res) == set(clean)
+        for k in clean:
+            pd.testing.assert_frame_equal(_norm(res[k]), _norm(clean[k]))
+    calls = _count_classify(monkeypatch)
+    again = analyze.run_full_analysis_resumable(fixture_paths, wd,
+                                                p95_mode="sketch")
+    assert calls["n"] == 0
+    for k in clean:
+        pd.testing.assert_frame_equal(_norm(again[k]), _norm(clean[k]))
+
+
+def test_analyze_resumable_raw_logs(tmp_path, monkeypatch):
+    """``raw=True`` reads raw logs through route's raw branch: every
+    table equals ``run_full_analysis`` over the parsed logs with the
+    raw contract, and a second run re-runs nothing."""
+    import pandas as pd
+
+    from mlp_ray.pipelines import analyze
+    from mlp_ray.sources import rawlog
+
+    logs = rawlog.write_raw_log_fixture(str(tmp_path / "logs"), 2000,
+                                        seed=13, n_shards=2)
+    wd = str(tmp_path / "ck")
+    res = analyze.run_full_analysis_resumable(logs, wd, raw=True)
+    parsed = rawlog.read_raw_logs(logs).map_batches(rawlog.parse_batch,
+                                                    batch_format="pyarrow")
+    clean = analyze.run_full_analysis(None, ds=parsed, raw=True)
+    assert set(res) == set(clean)
+    for k in clean:
+        pd.testing.assert_frame_equal(_norm(res[k]), _norm(clean[k]))
+    assert set(route.completed_partitions(wd)) == {
+        route.partition_id(p) for p in logs}
+
+    calls = _count_classify(monkeypatch)
+    again = analyze.run_full_analysis_resumable(logs, wd, raw=True)
+    assert calls["n"] == 0
+    for k in clean:
+        pd.testing.assert_frame_equal(_norm(again[k]), _norm(clean[k]))
+
+
+def test_analyze_resumable_empty_input_file(fixture_paths, tmp_path):
+    """An input file with no rows is a wave of its own that writes
+    nothing: it commits with no payload files, and the tables equal the
+    report over the other input alone."""
+    import pandas as pd
+
+    from mlp_ray.pipelines import analyze
+
+    empty = str(tmp_path / "empty.parquet")
+    pq.write_table(pq.read_table(fixture_paths[0]).slice(0, 0), empty)
+    wd = str(tmp_path / "ck")
+    res = analyze.run_full_analysis_resumable([fixture_paths[0], empty], wd)
+    clean = analyze.run_full_analysis([fixture_paths[0]])
+    for k in clean:
+        pd.testing.assert_frame_equal(_norm(res[k]), _norm(clean[k]))
+    assert route.completed_partitions(wd)[route.partition_id(empty)][
+        "payloads"] == []
