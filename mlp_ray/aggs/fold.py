@@ -36,10 +36,16 @@ Determinism (FIXTURES.md §4): "first"/"last"/sample fields are
 resolved by the ``order_col`` (``doc_id``) compared as a string —
 first/last by min/max order, arg-max by ``(value, order)`` — never by
 arrival order; the reference is thread-timing-dependent here
-(``LogLineAccumulator.java:294-331``).  Groups come out in first
-appearance order (``ordered_group_by``) of the batch rows, which are
-sorted by ``order_col`` first when first/last/sample are asked for.
-Key nulls form their own group; NaN metric values count as missing.
+(``LogLineAccumulator.java:294-331``).  They cannot follow input
+position: the multifold exchange's ``groupby(...).map_groups`` does
+not keep row order inside a bucket.  Groups come out in first
+appearance order (``ordered_group_by``): a batch keeps its input row
+order, and the driver merge numbers groups by where they first appear
+in the payload rows, which reach it in input order.  So a group
+appears where its first row appears in the input, however the input
+is cut into blocks or batches (the exchange's rows follow its
+key-hash buckets instead).  Key nulls form their own group; NaN
+metric values count as missing.
 
 p95 is exact over all group values unless the caller pins
 ``p95_mode="sketch"``, not the reference's first-10k sample
@@ -162,10 +168,10 @@ class FoldSpec:
         0/1, order carriers null where the value is) and the rows are
         merged by ``combine_table``."""
         t = batch.select(self.needed_columns())
-        if self.first_cols or self.last_cols or self.sample_by:
-            order = pc.cast(t[self.order_col], pa.string())
-            perm = pc.sort_indices(order)  # stable: ties keep row order
-            t, order = t.take(perm), order.take(perm)
+        order = pc.cast(t[self.order_col], pa.string())
+        # a typed else branch: with a null scalar, Arrow 16 builds
+        # invalid offsets from a sliced string column
+        no_order = pa.nulls(t.num_rows, pa.string())
         cols = {}
         for k in self.keys:
             c = t[k]
@@ -202,10 +208,10 @@ class FoldSpec:
             for c in cs:
                 cols[f"_{kind}_val_{c}"] = pc.cast(t[c], self._atype(c))
                 cols[f"_{kind}_ord_{c}"] = pc.if_else(
-                    pc.is_valid(t[c]), order, None)
+                    pc.is_valid(t[c]), order, no_order)
         if self.sample_by:
             v = pc.cast(_metric(t[self.sample_by]), pa.float64())
-            cols["_smp_ord"] = pc.if_else(pc.is_valid(v), order, None)
+            cols["_smp_ord"] = pc.if_else(pc.is_valid(v), order, no_order)
             cols["_smp_val"] = v
         return self.combine_table(pa.table(cols))
 
@@ -599,13 +605,14 @@ def _quantile_of_pairs(bins: np.ndarray, counts: np.ndarray,
 
 
 def fold_frame(ds, spec: FoldSpec, *, merge: str = "distributed",
-               batch_size: int = 131072, salt: int = 1) -> pd.DataFrame:
+               salt: int = 1) -> pd.DataFrame:
     """Fold a Ray Dataset with ``spec`` → one pandas frame of final rows
     (``readout`` columns and dtypes, typed even for an empty input):
-    the one-sink case of ``multifold.run_multi_fold``.
+    the one-sink case of ``multifold.run_multi_fold``, emitting once per
+    block of ``ds``.
 
     ``merge="driver"`` merges the collected partials (one row per
-    group × batch) in-process.  ``"distributed"`` lets the measured
+    group × block) in-process.  ``"distributed"`` lets the measured
     payload size pick the driver merge or the ``(sink, bucket)``
     exchange; use it when partials can be large (exact-p95 value lists
     grow with the data).
@@ -618,7 +625,7 @@ def fold_frame(ds, spec: FoldSpec, *, merge: str = "distributed",
     skew mitigation.  Pair it with ``p95_mode='sketch'`` at scale so
     the combined state stays bounded."""
     return run_multi_fold(ds, {"fold": fold_job(spec)}, mode=merge,
-                          batch_size=batch_size, salt=salt)["fold"]
+                          salt=salt)["fold"]
 
 
 def run_fold(ds, spec: FoldSpec, **kw):

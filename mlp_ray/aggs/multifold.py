@@ -250,43 +250,26 @@ def merge_payloads(payload, jobs: dict[str, SinkJob], *,
     return merge_payload_ds(tagged, jobs)
 
 
-def emit_payloads(cds, emit, batch_size: int = 32768):
-    """``cds`` mapped through ``emit`` → the Dataset of payload rows, in
-    input order: the merge keeps groups in first-appearance order, so
-    rows taken in the order blocks finish would let the same input give
-    tables in another row order.  ``preserve_order`` is set on a copy
-    of the chain's context, so ``cds`` and the Datasets it came from
-    keep their own (Ray shares one context along a chain)."""
+def run_multi_fold(cds, jobs: dict[str, SinkJob], *, mode: str = "driver",
+                   salt: int = 1) -> dict[str, pd.DataFrame]:
+    """One streaming pass over ``cds`` → one final pandas table per
+    sink, the emit running once per block.  ``mode="driver"`` collects
+    the payload rows and merges in-process; ``mode="distributed"``
+    merges through ``merge_payloads`` (measured route).
+
+    The payload rows are taken in input order: the merge keeps groups
+    in first-appearance order, so rows taken in the order blocks finish
+    would let the same input give tables in another row order.
+    ``preserve_order`` is set on a copy of the chain's context, so
+    ``cds`` and the Datasets it came from keep their own (Ray shares
+    one context along a chain)."""
     import ray.data as rd
 
     payload = rd.Dataset.copy(
-        cds.map_batches(emit, batch_format="pyarrow",
-                        batch_size=batch_size, zero_copy_batch=True),
+        cds.map_batches(make_emit(jobs), batch_format="pyarrow",
+                        zero_copy_batch=True),
         _deep_copy=True)
     payload.context.execution_options.preserve_order = True
-    return payload
-
-
-def run_multi_fold(cds, jobs: dict[str, SinkJob], *,
-                   mode: str = "driver", batch_size: int = 32768,
-                   salt: int = 1) -> dict[str, pd.DataFrame]:
-    """One streaming pass over ``cds`` → one final pandas table per
-    sink.  ``mode="driver"`` collects the payload rows and merges
-    in-process; ``mode="distributed"`` merges through
-    ``merge_payloads`` (measured route).
-
-    ``batch_size`` trades task parallelism + per-prep Arrow chunking
-    cost against partial volume (groups × batches).  Measured on the
-    1.5 M-row bench corpus at 32 CPUs: 131072 coalesces 276 read
-    blocks into 12 giant multi-chunk tasks — 10× the emit UDF
-    core-time and 3 task waves; per-block batches (~5 k rows) fix the
-    UDF cost but triple the partial rows the merge must reduce.  32768
-    is the measured knee: full task fan-out, near-minimal UDF time,
-    partial volume within 2× of the floor.
-
-    Tables come out in the same row order however many CPUs run the
-    blocks (``emit_payloads``); ``cds``'s own context is not changed."""
-    payload = emit_payloads(cds, make_emit(jobs), batch_size)
     if mode == "driver":
         return merge_payload_rows(payload.to_pandas(), jobs)
     return merge_payloads(payload, jobs, salt=salt)

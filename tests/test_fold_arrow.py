@@ -101,13 +101,12 @@ def test_fold_frame_merge_paths_agree(ray_session, monkeypatch, p95_mode):
     import mlp_ray.aggs.multifold as mf
 
     spec = FoldSpec(**SPEC, p95_mode=p95_mode)
-    ds = rd.from_arrow([_table(400, seed) for seed in range(6)])
+    ds = rd.from_arrow([_table(100, seed) for seed in range(24)])
     calls = spy_exchange(monkeypatch)
-    kw = dict(batch_size=300)
 
     def run(**extra):
         calls.clear()
-        out = fold_frame(ds, spec, **kw, **extra)
+        out = fold_frame(ds, spec, **extra)
         return out.sort_values(spec.keys, ignore_index=True), list(calls)
 
     driver, c = run(merge="driver")
@@ -155,6 +154,18 @@ def test_empty_batch_partial_merges_with_nonempty_ones():
                                        parts[1]], ignore_index=True))
     pd.testing.assert_frame_equal(
         got, spec.merge_bucket(pd.concat(parts, ignore_index=True)))
+
+
+def test_partial_of_a_sliced_multi_chunk_batch():
+    """A batch sliced across chunks (as Ray hands out) gives the same
+    partial as a freshly built copy of its rows: the first/last/sample
+    order carriers are built from the sliced string column as is."""
+    spec = FoldSpec(**SPEC)
+    t = pa.concat_tables([_table(400, 1), _table(400, 2)]).slice(300, 300)
+    fresh = pa.Table.from_pylist(t.to_pylist(), schema=t.schema)
+    got = spec.partial_table(t)
+    got.validate(full=True)
+    assert got.equals(spec.partial_table(fresh))
 
 
 def test_disjoint_group_sets_give_identical_partial_schemas():
@@ -212,6 +223,16 @@ def test_groups_come_out_in_first_appearance_order():
     out = spec.merge_bucket(spec.partial(t))
     assert out["a"].tolist() == exp["a"].tolist()
     assert out["sum_v"].tolist() == exp["v"].astype(float).tolist()
+    # first/last/sample pick by doc_id, but do not reorder the groups
+    spec = FoldSpec(**SPEC)
+    t = _table(3000, 6, keys=tuple("abcdefgh"))
+    out = spec.merge_bucket(pd.concat([spec.partial(t.slice(a, 700))
+                                       for a in range(0, 3000, 700)],
+                                      ignore_index=True))
+    exp = t.select(spec.keys).to_pandas(
+        types_mapper={pa.string(): pd.StringDtype()}.get)
+    pd.testing.assert_frame_equal(out[spec.keys],
+                                  exp.drop_duplicates(ignore_index=True))
 
 
 def test_integer_sums_stay_exact():

@@ -7,7 +7,7 @@ import os
 import ray.data as rd
 
 from mlp_ray.aggs.fold import run_fold
-from mlp_ray.aggs.sinks import make_main_ops, make_query_hash
+from mlp_ray.aggs.sinks import make_main_ops
 from mlp_ray.pipelines.analyze import classify, load_events
 
 from .util import assert_frames_match
@@ -28,15 +28,22 @@ def test_block_layout_invariance(fixture_paths):
     assert_frames_match(a, b, ["ns", "op", "app_name"])
 
 
-def test_batch_size_invariance(fixture_paths):
-    ds = load_events(fixture_paths)
-    cds = classify(ds)
-    mask, spec = make_query_hash()
-    filtered = cds.map_batches(lambda b: b.filter(mask(b)),
-                               batch_format="pyarrow")
-    a = run_fold(filtered, spec, batch_size=1024).to_pandas()
-    b = run_fold(filtered, spec, batch_size=16384).to_pandas()
-    assert_frames_match(a, b, ["query_hash", "ns", "op"])
+def test_report_block_layout_invariance(fixture_paths):
+    """The report over the input as one block and as 13 blocks is the
+    same, row order included: groups come out where their first row is
+    in the input, not where batch boundaries fall."""
+    import pandas as pd
+
+    from mlp_ray.pipelines.analyze import run_full_analysis
+
+    one = run_full_analysis(fixture_paths, ds=load_events(
+        fixture_paths, override_num_blocks=1))
+    many = run_full_analysis(fixture_paths, ds=load_events(
+        fixture_paths, override_num_blocks=1).repartition(13))
+    assert list(many) == list(one)
+    for name in one:
+        pd.testing.assert_frame_equal(many[name], one[name],
+                                      check_exact=True, obj=name)
 
 
 def test_pair_join_matches_pandas(ray_session):

@@ -546,7 +546,9 @@ def test_analyze_resume_recomputes_partitions_of_other_options(
 def test_analyze_resumable_raw_logs(tmp_path, monkeypatch):
     """``raw=True`` reads raw logs through route's raw branch: every
     table equals ``run_full_analysis`` over the parsed logs with the
-    raw contract, and a second run re-runs nothing."""
+    raw contract, row order included (the checkpointed report emits
+    once per file, the single pass once per read block), and a second
+    run re-runs nothing."""
     import pandas as pd
 
     from mlp_ray.pipelines import analyze
@@ -561,7 +563,8 @@ def test_analyze_resumable_raw_logs(tmp_path, monkeypatch):
     clean = analyze.run_full_analysis(None, ds=parsed, raw=True)
     assert set(res) == set(clean)
     for k in clean:
-        pd.testing.assert_frame_equal(_norm(res[k]), _norm(clean[k]))
+        pd.testing.assert_frame_equal(res[k], clean[k],
+                                      check_exact=True, obj=k)
     assert set(route.completed_partitions(wd)) == {
         route.partition_id(p) for p in logs}
 
@@ -569,7 +572,8 @@ def test_analyze_resumable_raw_logs(tmp_path, monkeypatch):
     again = analyze.run_full_analysis_resumable(logs, wd, raw=True)
     assert calls["n"] == 0
     for k in clean:
-        pd.testing.assert_frame_equal(_norm(again[k]), _norm(clean[k]))
+        pd.testing.assert_frame_equal(again[k], clean[k],
+                                      check_exact=True, obj=k)
 
 
 def test_analyze_resumable_empty_input_file(fixture_paths, tmp_path):
