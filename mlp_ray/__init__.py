@@ -5,7 +5,8 @@ capabilities of mhelmstetter/mongo-log-parser (reference at
 
 Architecture (SURVEY.md §7):
 
-    read_parquet → classify+filter (map_batches, vectorized, zero-copy Arrow)
+    read_parquet_files (util: listed files, row groups, no planning task)
+                → classify+filter (map_batches, vectorized, zero-copy Arrow)
                 → redact/shape-hash (stateful, built once per worker)
                 → enrich (broadcast ns→metadata dict lookup)
                 → route (fan-out to per-sink parquet + lineage metrics)

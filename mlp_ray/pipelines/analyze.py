@@ -29,7 +29,7 @@ from ..aggs.fold import ordered_group_by
 from ..stages.classify import classify_batch
 from ..stages.enrich import NsEnricher
 from ..stages.redact import Redactor
-from ..util import read_blocks, session_cpus
+from ..util import read_parquet_files
 
 # Narrow attribute columns needed by classify + all sinks — the token
 # payload is deliberately NOT read for aggregation-only runs (prune at
@@ -51,11 +51,11 @@ ATTR_COLUMNS = [
 
 def load_events(paths, *, columns: list[str] | None = ATTR_COLUMNS,
                 override_num_blocks: int | None = None) -> rd.Dataset:
-    """Parquet events as a Dataset, in ``util.read_blocks`` blocks
-    unless ``override_num_blocks`` is given."""
-    return rd.read_parquet(paths, columns=columns,
-                           override_num_blocks=override_num_blocks
-                           or read_blocks(paths, session_cpus()))
+    """Parquet events as a Dataset (``util.read_parquet_files``), in
+    ``util.read_blocks`` blocks unless ``override_num_blocks`` is
+    given."""
+    return read_parquet_files(paths, columns=columns,
+                              override_num_blocks=override_num_blocks)
 
 
 def apply_user_filters(batch: pa.Table, filter_config=None,

@@ -53,7 +53,7 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from ..util import read_blocks, session_cpus
+from ..util import read_parquet_files
 from . import analyze
 
 # sink → (mask column, carried columns); tokens ride only through the
@@ -155,8 +155,9 @@ class RouterWriter:
     def _write_one(self, pid: str, part: pa.Table, t0: float, lineage: list):
         for sink in self.sinks:
             mask_col, cols = ROUTES[sink]
-            sub = part.filter(part[mask_col]).select(
-                [c for c in cols if c in part.column_names])
+            # select first: the filter copies only the carried columns
+            sub = part.select([c for c in cols if c in part.column_names]
+                              ).filter(part[mask_col])
             if sink == "ignored_sample" and sub.num_rows:
                 sub = self._sample_ignored(sub)
             if sub.num_rows:
@@ -249,9 +250,8 @@ def _read_wave(wave: list[str], *, raw_logs: bool, columns: list[str],
         from ..sources import rawlog
         return rawlog.read_raw_logs(wave).map_batches(
             rawlog.parse_batch, batch_format="pyarrow")
-    return rd.read_parquet(wave, columns=columns, include_paths=True,
-                           override_num_blocks=override_num_blocks
-                           or read_blocks(wave, session_cpus()))
+    return read_parquet_files(wave, columns=columns, include_paths=True,
+                              override_num_blocks=override_num_blocks)
 
 
 def _route_wave(wave: list[str], out_dir: str, *, redact, raw_logs,
@@ -368,23 +368,23 @@ def route_partitioned(input_files: list[str], out_dir: str, *,
     A wave is ``analyze.classify`` (the report's classify → redact →
     enrich task) followed by ``RouterWriter``, both plain tasks, so Ray
     Data FUSES them with the read into one task
-    (``ReadParquet->MapBatches(_chain_task)->MapBatches(RouterWriter)``;
+    (``ReadParquetFiles->MapBatches(_chain_task)->MapBatches(RouterWriter)``;
     for raw logs the read and ``parse_batch`` lead) and the heavy
     tokens column goes disk → task heap → sink file without ever
     entering the object store.  Ray gathers the classified batches of
     a read block into one block before the writer runs, so each read
     block is one writer call and one file per sink.  A Parquet wave is
-    read in
-    ``util.read_blocks(wave, session_cpus())`` blocks unless
-    ``override_num_blocks`` is given: one per CPU or per file, none
-    below Ray's minimum block size.  Raw logs are read one block per
-    file.
+    read by ``util.read_parquet_files`` in ``util.read_blocks`` blocks
+    unless ``override_num_blocks`` is given: one per CPU or per file,
+    none below Ray's minimum block size.  Raw logs are read one block
+    per file.
 
     ``commit_every=N`` processes the input in waves of N partitions and
     commits the manifest after each wave, so a killed job loses at most
     one in-flight wave instead of the whole run. Each wave is its own
-    pipeline (~1-2 s fixed cost), so size waves to hundreds of files on
-    long jobs; ``None`` (default) = single wave, used by short benches.
+    pipeline with a fixed cost (a 200-row wave took 91-99 ms in a warm
+    one-CPU session), so size waves to hundreds of files on long jobs;
+    ``None`` (default) = single wave, used by short benches.
 
     A partition committed under another ``redact`` or ``raw_logs`` is
     re-routed.  The same path given twice raises ``ValueError`` before
@@ -401,8 +401,9 @@ def read_sink(out_dir: str, sink: str, columns: list[str] | None = None,
     Routed sinks are one file per (partition × read block), so the
     read is sized by the sink's bytes and the session's CPUs
     (``util.read_blocks``), not by its file count; an explicit
-    ``override_num_blocks`` wins."""
-    path = os.path.join(out_dir, sink)
-    return rd.read_parquet(path, columns=columns,
-                           override_num_blocks=override_num_blocks
-                           or read_blocks(path, session_cpus()))
+    ``override_num_blocks`` wins.  Only the sink's ``*.parquet`` files
+    are read (``util.read_parquet_files``): a killed writer's
+    ``*.parquet.tmp-<pid>`` is not data.  With no ``columns`` each row
+    carries its partition id as ``part``."""
+    return read_parquet_files(os.path.join(out_dir, sink), columns=columns,
+                              override_num_blocks=override_num_blocks)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
+from ray.data.datasource import (DefaultFileMetadataProvider,
+                                 FileBasedDatasource, Partitioning)
 
 
 def round_half_away(x, ndigits: int = 6):
@@ -159,6 +161,15 @@ def file_sizes(paths) -> dict[str, int]:
     """Size of every file named by ``paths`` (files or directories,
     resolved as Ray Data's readers resolve them); raises
     ``FileNotFoundError`` for a path that does not exist."""
+    return _list_files(paths)[1]
+
+
+def _list_files(paths, suffix: str | None = None):
+    """``(filesystem, file_sizes(paths))``; with ``suffix``, a directory
+    stands only for the files under it whose names end with ``suffix``
+    and whose path below it has no part starting with ``_`` or ``.``
+    (pyarrow's discovery rule), in path order.  A file given by name is
+    kept as given."""
     from pyarrow.fs import FileSelector, FileType
     from ray.data.datasource.path_util import _resolve_paths_and_filesystem
 
@@ -167,17 +178,27 @@ def file_sizes(paths) -> dict[str, int]:
     for info in fs.get_file_info(paths):
         if info.type == FileType.NotFound:
             raise FileNotFoundError(info.path)
-        infos = (fs.get_file_info(FileSelector(info.path, recursive=True))
-                 if info.type == FileType.Directory else [info])
-        sizes.update((i.path, i.size) for i in infos
-                     if i.type == FileType.File)
-    return sizes
+        if info.type == FileType.File:
+            sizes[info.path] = info.size
+        elif info.type == FileType.Directory:
+            found = fs.get_file_info(FileSelector(info.path, recursive=True))
+            sizes.update(sorted(
+                (i.path, i.size) for i in found if i.type == FileType.File
+                and (suffix is None or _discoverable(
+                    i.path[len(info.path):], suffix))))
+    return fs, sizes
+
+
+def _discoverable(rel: str, suffix: str) -> bool:
+    return rel.endswith(suffix) and not any(
+        part[:1] in ("_", ".") for part in rel.split("/"))
 
 
 def read_blocks(paths, cpus: int) -> int:
     """Read block count for a Parquet input of ``paths`` (files or
-    directories) in a session of ``cpus`` CPUs: one block per CPU or
-    per file, whichever is more, but no block below Ray Data's
+    directories; a directory's ``*.parquet`` files, as the reader lists
+    them) in a session of ``cpus`` CPUs: one block per CPU or per file,
+    whichever is more, but no block below Ray Data's
     ``target_min_block_size`` and never fewer than one.
 
     The reference sizes work the same way, by data and by machine
@@ -186,12 +207,79 @@ def read_blocks(paths, cpus: int) -> int:
     (``read_op_min_num_blocks`` = 200, floored at the minimum block
     size) cuts one 4 MB file into 13-16 blocks, and each block is its
     own route task that writes one file per routed sink."""
+    return _block_count(_list_files(paths, ".parquet")[1], cpus)
+
+
+def _block_count(sizes: dict[str, int], cpus: int) -> int:
     from ray.data import DataContext
 
-    sizes = file_sizes(paths)
     min_block = DataContext.get_current().target_min_block_size
     return max(1, min(max(cpus, len(sizes)), sum(sizes.values())
                       // min_block))
+
+
+class _Listed(DefaultFileMetadataProvider):
+    """Hands a datasource the files ``_list_files`` listed, then drops
+    them: the datasource, and so this provider, rides in every read
+    task."""
+
+    def __init__(self, sizes: dict[str, int]):
+        self._sizes = sizes
+
+    def expand_paths(self, paths, *args, **kwargs):
+        sizes, self._sizes = self._sizes, {}
+        return iter(sizes.items())
+
+
+class ParquetFiles(FileBasedDatasource):
+    """The engine's Parquet reader: listed files, one table per row
+    group, ``columns`` pruned and in that order (an empty table's file
+    gives its zero-row table).  Unlike ``rd.read_parquet`` it plans nothing
+    beyond the listing: no footer scan in the driver and no remote task
+    sampling the encoding ratio, which a given block count never
+    uses."""
+
+    def __init__(self, sizes: dict[str, int], filesystem, *, columns,
+                 include_paths: bool):
+        super().__init__(
+            list(sizes), filesystem=filesystem, meta_provider=_Listed(sizes),
+            include_paths=include_paths,
+            partitioning=Partitioning("hive") if columns is None else None)
+        self._columns = columns
+
+    def _open_input_source(self, filesystem, path, **open_args):
+        return filesystem.open_input_file(path)  # the footer needs a seek
+
+    def _read_stream(self, f, path):
+        import pyarrow.parquet as pq
+
+        pf = pq.ParquetFile(f)
+        for i in range(pf.num_row_groups):
+            yield pf.read_row_group(i, columns=self._columns,
+                                    use_threads=False)
+
+
+def read_parquet_files(paths, *, columns: list[str] | None = None,
+                       include_paths: bool = False,
+                       override_num_blocks: int | None = None):
+    """Parquet files as a Dataset (``ParquetFiles``): ``paths`` are
+    files or directories, listed once (``_list_files(paths,
+    ".parquet")``, so a killed writer's ``*.parquet.tmp-<pid>`` is not
+    data); ``include_paths`` adds each row's file as ``path``, and with
+    no ``columns`` a ``key=value`` directory adds its key as a string
+    column (Hive partitioning: a routed sink's ``part``).  Read in
+    ``read_blocks`` blocks unless ``override_num_blocks`` is given; more
+    blocks than files split each file's output, as Ray splits any
+    read."""
+    import ray.data as rd
+
+    fs, sizes = _list_files(paths, ".parquet")
+    if not sizes:
+        raise FileNotFoundError(f"no Parquet file under {paths}")
+    blocks = override_num_blocks or _block_count(sizes, session_cpus())
+    return rd.read_datasource(
+        ParquetFiles(sizes, fs, columns=columns, include_paths=include_paths),
+        override_num_blocks=blocks)
 
 
 def session_cpus() -> int:
