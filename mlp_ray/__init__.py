@@ -5,7 +5,7 @@ capabilities of mhelmstetter/mongo-log-parser (reference at
 
 Architecture (SURVEY.md §7):
 
-    read_parquet_files (util: listed files, row groups, no planning task)
+    read_parquet_files (util: listed files, 10k-row tables, no planning task)
                 → classify+filter (map_batches, vectorized, zero-copy Arrow)
                 → redact/shape-hash (stateful, built once per worker)
                 → enrich (broadcast ns→metadata dict lookup)

@@ -382,7 +382,7 @@ def route_partitioned(input_files: list[str], out_dir: str, *,
     ``commit_every=N`` processes the input in waves of N partitions and
     commits the manifest after each wave, so a killed job loses at most
     one in-flight wave instead of the whole run. Each wave is its own
-    pipeline with a fixed cost (a 200-row wave took 91-99 ms in a warm
+    pipeline with a fixed cost (a 200-row wave took 106-118 ms in a warm
     one-CPU session), so size waves to hundreds of files on long jobs;
     ``None`` (default) = single wave, used by short benches.
 

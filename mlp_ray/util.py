@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from ray.data.datasource import (DefaultFileMetadataProvider,
-                                 FileBasedDatasource, Partitioning)
 
 
 def round_half_away(x, ndigits: int = 6):
@@ -207,79 +205,78 @@ def read_blocks(paths, cpus: int) -> int:
     (``read_op_min_num_blocks`` = 200, floored at the minimum block
     size) cuts one 4 MB file into 13-16 blocks, and each block is its
     own route task that writes one file per routed sink."""
-    return _block_count(_list_files(paths, ".parquet")[1], cpus)
-
-
-def _block_count(sizes: dict[str, int], cpus: int) -> int:
     from ray.data import DataContext
 
+    sizes = _list_files(paths, ".parquet")[1]
     min_block = DataContext.get_current().target_min_block_size
     return max(1, min(max(cpus, len(sizes)), sum(sizes.values())
                       // min_block))
 
 
-class _Listed(DefaultFileMetadataProvider):
-    """Hands a datasource the files ``_list_files`` listed, then drops
-    them: the datasource, and so this provider, rides in every read
-    task."""
-
-    def __init__(self, sizes: dict[str, int]):
-        self._sizes = sizes
-
-    def expand_paths(self, paths, *args, **kwargs):
-        sizes, self._sizes = self._sizes, {}
-        return iter(sizes.items())
+# rows per table a Parquet read task decodes at a time: Ray's own
+# reader batch (``PARQUET_READER_ROW_BATCH_SIZE``), so a file written
+# as one large row group is never decoded whole
+PARQUET_BATCH_ROWS = 10_000
 
 
-class ParquetFiles(FileBasedDatasource):
-    """The engine's Parquet reader: listed files, one table per row
-    group, ``columns`` pruned and in that order (an empty table's file
-    gives its zero-row table).  Unlike ``rd.read_parquet`` it plans nothing
-    beyond the listing: no footer scan in the driver and no remote task
-    sampling the encoding ratio, which a given block count never
-    uses."""
+def parquet_tables(f, columns: list[str] | None = None):
+    """The tables of the open Parquet file ``f``, at most
+    ``PARQUET_BATCH_ROWS`` rows each, ``columns`` pruned and in that
+    order; a file with no rows gives its zero-row table."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
 
-    def __init__(self, sizes: dict[str, int], filesystem, *, columns,
-                 include_paths: bool):
-        super().__init__(
-            list(sizes), filesystem=filesystem, meta_provider=_Listed(sizes),
-            include_paths=include_paths,
-            partitioning=Partitioning("hive") if columns is None else None)
-        self._columns = columns
-
-    def _open_input_source(self, filesystem, path, **open_args):
-        return filesystem.open_input_file(path)  # the footer needs a seek
-
-    def _read_stream(self, f, path):
-        import pyarrow.parquet as pq
-
-        pf = pq.ParquetFile(f)
-        for i in range(pf.num_row_groups):
-            yield pf.read_row_group(i, columns=self._columns,
-                                    use_threads=False)
+    pf = pq.ParquetFile(f)
+    if not pf.metadata.num_rows:
+        empty = pf.schema_arrow.empty_table()
+        yield empty if columns is None else empty.select(columns)
+        return
+    for batch in pf.iter_batches(PARQUET_BATCH_ROWS, columns=columns,
+                                 use_threads=False):
+        yield pa.Table.from_batches([batch])
 
 
 def read_parquet_files(paths, *, columns: list[str] | None = None,
                        include_paths: bool = False,
                        override_num_blocks: int | None = None):
-    """Parquet files as a Dataset (``ParquetFiles``): ``paths`` are
-    files or directories, listed once (``_list_files(paths,
-    ".parquet")``, so a killed writer's ``*.parquet.tmp-<pid>`` is not
-    data); ``include_paths`` adds each row's file as ``path``, and with
-    no ``columns`` a ``key=value`` directory adds its key as a string
+    """Parquet files as a Dataset (operator ``ReadParquetFiles``):
+    ``paths`` are files or directories, and a directory stands for its
+    ``*.parquet`` files outside ``_``/``.`` names (``_list_files``), so
+    a killed writer's ``*.parquet.tmp-<pid>`` is not data.  Each read
+    task streams its files through ``parquet_tables``;
+    ``include_paths`` adds each row's file as ``path``, and with no
+    ``columns`` a ``key=value`` directory adds its key as a string
     column (Hive partitioning: a routed sink's ``part``).  Read in
     ``read_blocks`` blocks unless ``override_num_blocks`` is given; more
-    blocks than files split each file's output, as Ray splits any
-    read."""
+    blocks than files split each file's output, as Ray splits any read.
+
+    Unlike ``rd.read_parquet`` it plans nothing beyond the listing: no
+    footer scan in the driver and no remote task sampling the files.
+    That sample sets Ray's encoding ratio, which a given block count
+    never uses, and its reader batch size, which ``parquet_tables``
+    fixes at Ray's row cap without Ray's bytes cap (a tenth of
+    ``target_max_block_size``), reached only by rows of more than
+    ~1.3 KB decoded."""
     import ray.data as rd
+    from ray.data.datasource import FileBasedDatasource, Partitioning
+
+    class ParquetFiles(FileBasedDatasource):
+        def _open_input_source(self, filesystem, path, **open_args):
+            return filesystem.open_input_file(path)  # the footer seeks
+
+        def _read_stream(self, f, path):
+            return parquet_tables(f, columns)
 
     fs, sizes = _list_files(paths, ".parquet")
     if not sizes:
         raise FileNotFoundError(f"no Parquet file under {paths}")
-    blocks = override_num_blocks or _block_count(sizes, session_cpus())
+    files = list(sizes)
     return rd.read_datasource(
-        ParquetFiles(sizes, fs, columns=columns, include_paths=include_paths),
-        override_num_blocks=blocks)
+        ParquetFiles(files, filesystem=fs, include_paths=include_paths,
+                     partitioning=Partitioning("hive") if columns is None
+                     else None),
+        override_num_blocks=override_num_blocks
+        or read_blocks(files, session_cpus()))
 
 
 def session_cpus() -> int:

@@ -1,12 +1,15 @@
 """The engine's Parquet reader (``util.read_parquet_files``): the same
 table as ``rd.read_parquet`` (order, types and values), only the
-``*.parquet`` files of a directory, and a plan that runs no Ray task
-before the read."""
+``*.parquet`` files of a directory, a large row group decoded in
+bounded tables, and a plan that runs no Ray task before the read."""
 
 import glob
 import os
 import shutil
+import subprocess
+import sys
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -15,7 +18,7 @@ import ray
 import ray.data as rd
 
 from mlp_ray.pipelines import analyze, route
-from mlp_ray.util import read_parquet_files
+from mlp_ray.util import PARQUET_BATCH_ROWS, parquet_tables, read_parquet_files
 
 COLS = ["n_tok", "doc_id", "tokens", "duration_ms", "ns"]
 
@@ -39,14 +42,18 @@ def in_order(monkeypatch):
 
 @pytest.fixture(scope="module")
 def inputs(fixture_paths, tmp_path_factory):
-    """A two-row-group file, a one-row-group file and an empty file."""
+    """A two-row-group file, a one-row-group file, an empty file and a
+    file of one row group of six reader batches."""
     d = tmp_path_factory.mktemp("pq_inputs")
     whole = pq.read_table(fixture_paths)
-    paths = [str(d / f"{name}.parquet") for name in ("a", "b", "c")]
+    paths = [str(d / f"{name}.parquet") for name in ("a", "b", "c", "d")]
     pq.write_table(whole, paths[0], row_group_size=16384)
     pq.write_table(whole.slice(0, 5000), paths[1])
     pq.write_table(whole.slice(0, 0), paths[2])
+    pq.write_table(pa.concat_tables([whole, whole]), paths[3])
     assert pq.ParquetFile(paths[0]).num_row_groups == 2
+    assert pq.ParquetFile(paths[3]).metadata.row_group(0).num_rows \
+        == 6 * PARQUET_BATCH_ROWS
     return paths
 
 
@@ -85,6 +92,42 @@ def test_empty_file_keeps_its_schema(inputs):
                      .to_arrow_refs())
     assert got.num_rows == 0 and got.column_names == COLS
     assert rd.read_parquet([inputs[2]]).count() == 0
+
+
+def _peak_arrow_bytes(path, read):
+    """Arrow's peak allocation in a fresh process that runs ``read`` on
+    the open file ``f`` and drops what it yields."""
+    code = ("import sys, pyarrow as pa, pyarrow.parquet as pq\n"
+            "from mlp_ray.util import parquet_tables\n"
+            "with pa.OSFile(sys.argv[1]) as f:\n"
+            f"    for t in {read}:\n"
+            "        pass\n"
+            "print(pa.default_memory_pool().max_memory())")
+    done = subprocess.run(
+        [sys.executable, "-c", code, path], check=True, capture_output=True,
+        text=True,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    return int(done.stdout)
+
+
+def test_large_row_group_is_decoded_in_reader_batches(tmp_path):
+    """A file written as one row group (``pq.write_table``'s default up
+    to 1Mi rows) is decoded ``PARQUET_BATCH_ROWS`` rows at a time: Arrow's
+    peak allocation stays a fraction of a whole-row-group read's."""
+    n = 20 * PARQUET_BATCH_ROWS
+    tokens = pa.ListArray.from_arrays(
+        np.arange(0, 32 * n + 1, 32, dtype=np.int32),
+        pa.array(np.arange(32 * n, dtype=np.int32) % 7))
+    whole = pa.table({"doc_id": np.arange(n), "tokens": tokens})
+    path = str(tmp_path / "one_row_group.parquet")
+    pq.write_table(whole, path, row_group_size=n)
+    with pa.OSFile(path) as f:
+        tables = list(parquet_tables(f, ["tokens", "doc_id"]))
+    assert max(t.num_rows for t in tables) == PARQUET_BATCH_ROWS
+    assert pa.concat_tables(tables).equals(whole.select(["tokens", "doc_id"]))
+    streamed = _peak_arrow_bytes(path, "parquet_tables(f)")
+    at_once = _peak_arrow_bytes(path, "[pq.ParquetFile(f).read_row_group(0)]")
+    assert 4 * streamed < at_once
 
 
 def test_read_sink_reads_only_committed_files(fixture_paths, tmp_path):
