@@ -54,6 +54,8 @@ def main(argv=None):
                          "sink, column-pruned) or 'none'")
     args = ap.parse_args(argv)
 
+    import pyarrow as pa
+    import pyarrow.parquet as pq
     import ray
     if not ray.is_initialized():
         addr = os.environ.get("RAY_ADDRESS", "auto")
@@ -64,7 +66,8 @@ def main(argv=None):
     DataContext.get_current().enable_progress_bars = False
 
     from mlp_ray.pipelines import route
-    from mlp_ray.aggs.fold import FoldSpec, run_fold
+    from mlp_ray.aggs.fold import FoldSpec, fold_frame
+    from mlp_ray.util import publish
 
     if os.path.isdir(args.input):
         paths = sorted(glob.glob(os.path.join(args.input, "*.parquet")))
@@ -93,8 +96,13 @@ def main(argv=None):
                              columns=["doc_id", "ns", "op", "app_name",
                                       "duration_ms"])
         t1 = time.perf_counter()
-        agg = run_fold(ds, spec)
-        agg.write_parquet(os.path.join(args.out, "agg_main_ops"))
+        df = fold_frame(ds, spec)
+        # one file, replaced whole: a re-submitted job rewrites it
+        agg_dir = os.path.join(args.out, "agg_main_ops")
+        os.makedirs(agg_dir, exist_ok=True)
+        publish(os.path.join(agg_dir, "main_ops.parquet"),
+                lambda tmp: pq.write_table(
+                    pa.Table.from_pandas(df, preserve_index=False), tmp))
         summary["agg_main_ops_sec"] = round(time.perf_counter() - t1, 3)
 
     print(json.dumps(summary))

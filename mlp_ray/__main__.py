@@ -158,9 +158,11 @@ def cmd_trim(args):
             return
         _init_ray(args.cpus)
         import hashlib
+        from pathlib import Path
 
         import pyarrow as pa
         from .sources import rawlog
+        from .util import publish
 
         ds = rawlog.read_raw_logs(args.inputs).map_batches(
             lambda t: trim.trim_lines_batch(t, redactor=redactor,
@@ -182,11 +184,8 @@ def cmd_trim(args):
             data = ("\n".join(lines) + "\n").encode() if lines else b""
             # content-hash names: a retried task overwrites, never dupes
             tag = hashlib.blake2b(data, digest_size=8).hexdigest()
-            path = os.path.join(out_dir, f"trimmed-{tag}.jsonl")
-            tmp = path + f".tmp-{os.getpid()}"
-            with open(tmp, "w") as fh:
-                fh.write(data.decode())
-            os.replace(tmp, path)
+            path = publish(os.path.join(out_dir, f"trimmed-{tag}.jsonl"),
+                           lambda tmp: Path(tmp).write_bytes(data))
             return pa.table({"path": [path], "lines": [len(lines)]})
 
         lin = ds.map_batches(write_shard, batch_format="pyarrow").to_pandas()
@@ -201,7 +200,8 @@ def cmd_trim(args):
         lambda t: trim.trim_batch(t, col=args.col, redactor=redactor),
         batch_format="pyarrow")
     out.write_parquet(args.out)
-    print(f"wrote {out.count()} rows to {args.out}")
+    # from the footers: counting ``out`` would run read and trim again
+    print(f"wrote {rd.read_parquet(args.out).count()} rows to {args.out}")
 
 
 def cmd_redact(args):
@@ -214,6 +214,7 @@ def cmd_redact(args):
     import pyarrow as pa
     from .sources import rawlog
     from .stages.redact import redact_lines_batch
+    from .util import publish
 
     ds = rawlog.read_raw_logs(args.inputs)
     os.makedirs(args.out, exist_ok=True)
@@ -225,11 +226,10 @@ def cmd_redact(args):
         data = ("\n".join(lines) + "\n").encode()
         # content-hash names: a retried task overwrites, not duplicates
         tag = hashlib.blake2b(data, digest_size=8).hexdigest()
-        path = os.path.join(out_dir, f"redacted-{tag}.log.gz")
-        tmp = path + f".tmp-{os.getpid()}"
-        with gzip.open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        def write(tmp):
+            with gzip.open(tmp, "wb") as fh:
+                fh.write(data)
+        path = publish(os.path.join(out_dir, f"redacted-{tag}.log.gz"), write)
         return pa.table({"path": [path], "lines": [len(lines)]})
 
     lin = ds.map_batches(write_batch, batch_format="pyarrow").to_pandas()

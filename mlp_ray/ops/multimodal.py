@@ -672,6 +672,8 @@ def ensure_phash_fixture() -> str:
 
     import pyarrow.parquet as _pq
 
+    from ..util import publish
+
     path = PHASH_FIXTURE_PATH
     if os.path.exists(path):
         try:
@@ -689,10 +691,7 @@ def ensure_phash_fixture() -> str:
         "media_id": pa.array(corpus["media_id"].to_numpy(np.int64)),
         "phash": pa.array(hashes, pa.uint64()),
     })
-    tmp = f"{path}.tmp-{os.getpid()}"
-    _pq.write_table(out, tmp)
-    os.replace(tmp, path)
-    return path
+    return publish(path, lambda tmp: _pq.write_table(out, tmp))
 
 
 def phash_near_dup(ds, *, max_hamming: int = 6):

@@ -20,7 +20,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 import ray.data as rd
 
@@ -551,8 +550,6 @@ def run_full_analysis_resumable(paths, work_dir: str, *,
     partition of the inputs.  Partial volume is groups × blocks per
     partition (never row-scale), so the checkpoint cost is a commit
     line + a small parquet."""
-    import ray
-
     from ..aggs.multifold import (PAYLOAD_FORMAT, make_emit,
                                   merge_payload_rows, merge_payloads)
     from . import route
@@ -571,8 +568,9 @@ def run_full_analysis_resumable(paths, work_dir: str, *,
              for f in done[pid]["payloads"]]
     if not files:
         return merge_payload_rows(pd.DataFrame(), jobs)
-    # one block per file in input order (a parquet read yields blocks
-    # as they finish), so every run emits the groups in the same order
-    read = ray.remote(pq.read_table)
-    return merge_payloads(
-        rd.from_arrow_refs([read.remote(f) for f in files]), jobs)
+    # one block per file, taken in input order, so every run emits the
+    # groups in the same order
+    payload = read_parquet_files(files, columns=["sink", "payload"],
+                                 override_num_blocks=len(files))
+    payload.context.execution_options.preserve_order = True
+    return merge_payloads(payload, jobs)

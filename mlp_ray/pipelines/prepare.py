@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -45,6 +46,7 @@ from ..ops.dedup import _bucketed, _cached_stage
 from ..ops.pack import pack_materialize
 from ..ops.scrub import _distinct_grams_per_doc
 from ..ops.text import md5_hash_batch
+from ..util import publish
 
 SPLITS = ("train", "val", "test")
 
@@ -212,7 +214,5 @@ def _mark_stage(stage_dir: str, key: str | None) -> None:
     if key is None:
         return
     os.makedirs(stage_dir, exist_ok=True)
-    tmp = os.path.join(stage_dir, f"_DONE.json.tmp-{os.getpid()}")
-    with open(tmp, "w") as fh:
-        json.dump({"key": key}, fh)
-    os.replace(tmp, os.path.join(stage_dir, "_DONE.json"))
+    publish(os.path.join(stage_dir, "_DONE.json"),
+            lambda tmp: Path(tmp).write_text(json.dumps({"key": key})))

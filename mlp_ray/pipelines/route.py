@@ -20,7 +20,7 @@ checkpointed report (``analyze.run_full_analysis_resumable``):
     path hash), so only a path given twice raises;
   * a partition's outputs live under ``<sink>/part=<pid>/`` (the
     report's payload rows under ``_payloads/part=<pid>/``);
-  * completion is recorded as an atomic (tmp+rename) JSONL commit file
+  * completion is recorded as a JSONL commit file (``util.publish``)
     ``_manifest/commit-*.jsonl`` — one line per completed partition —
     after the routing pipeline for that wave of partitions finished,
     with the run's fingerprint (``redact``, ``raw_logs``, the user
@@ -53,7 +53,7 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from ..util import read_parquet_files
+from ..util import publish, read_parquet_files
 from . import analyze
 
 # sink → (mask column, carried columns); tokens ride only through the
@@ -96,6 +96,10 @@ class RouterWriter:
     rows under ``_payloads/part=<pid>/``; return lineage (one row per
     file written, its basename in ``file``)."""
 
+    LINEAGE = pa.schema([("partition_id", pa.string()), ("sink", pa.string()),
+                         ("file", pa.string()), ("rows_out", pa.int64()),
+                         ("bytes_out", pa.int64())])
+
     def __init__(self, out_dir: str, sinks=tuple(ROUTES), emit=None):
         self.out_dir = out_dir
         self.sinks = sinks
@@ -128,8 +132,7 @@ class RouterWriter:
                 keep[i] = h % 100 == 0
         return t.filter(pa.array(keep, pa.bool_()))
 
-    def _write(self, sink: str, pid: str, t: pa.Table, ids, rows_in: int,
-               t0: float, lineage: list):
+    def _write(self, sink: str, pid: str, t: pa.Table, ids, lineage: list):
         tag = hashlib.blake2b(
             f"{ids[0].as_py()}|{ids[-1].as_py()}|{len(ids)}".encode(),
             digest_size=8).hexdigest()
@@ -139,20 +142,15 @@ class RouterWriter:
         pdir = os.path.join(self.out_dir, sink, f"part={pid}")
         os.makedirs(pdir, exist_ok=True)
         path = os.path.join(pdir, f"b-{tag}.parquet")
-        tmp = path + f".tmp-{os.getpid()}"
         # routed sinks are intermediates re-read by the aggregate
         # stage; lz4 trades a few % size for much lower encode CPU
         # than zstd
-        pq.write_table(t, tmp, compression="lz4")
-        os.replace(tmp, path)
+        publish(path, lambda tmp: pq.write_table(t, tmp, compression="lz4"))
         lineage.append({
             "partition_id": pid, "sink": sink, "file": os.path.basename(path),
-            "rows_in": rows_in, "rows_out": t.num_rows,
-            "bytes_out": os.path.getsize(path),
-            "wall_ms": (time.perf_counter() - t0) * 1000.0,
-        })
+            "rows_out": t.num_rows, "bytes_out": os.path.getsize(path)})
 
-    def _write_one(self, pid: str, part: pa.Table, t0: float, lineage: list):
+    def _write_one(self, pid: str, part: pa.Table, lineage: list):
         for sink in self.sinks:
             mask_col, cols = ROUTES[sink]
             # select first: the filter copies only the carried columns
@@ -161,17 +159,14 @@ class RouterWriter:
             if sink == "ignored_sample" and sub.num_rows:
                 sub = self._sample_ignored(sub)
             if sub.num_rows:
-                self._write(sink, pid, sub, sub["doc_id"], part.num_rows,
-                            t0, lineage)
+                self._write(sink, pid, sub, sub["doc_id"], lineage)
         if self.emit is not None:
             payload = pa.Table.from_pandas(self.emit(part),
                                            preserve_index=False)
             if payload.num_rows:
-                self._write(PAYLOADS, pid, payload, part["doc_id"],
-                            part.num_rows, t0, lineage)
+                self._write(PAYLOADS, pid, payload, part["doc_id"], lineage)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        t0 = time.perf_counter()
         lineage: list[dict] = []
         paths = batch["path"]
         # a batch almost always comes from one input file; handle the
@@ -180,17 +175,19 @@ class RouterWriter:
         for p in distinct.to_pylist():
             part = batch.filter(pc.equal(paths, p)) \
                 if len(distinct) > 1 else batch
-            self._write_one(partition_id(p), part, t0, lineage)
-        if not lineage:
-            lineage.append({"partition_id": partition_id(
-                distinct[0].as_py()), "sink": "none", "file": "",
-                "rows_in": batch.num_rows, "rows_out": 0,
-                "bytes_out": 0, "wall_ms": 0.0})
-        return pa.Table.from_pylist(lineage)
+            self._write_one(partition_id(p), part, lineage)
+        return pa.Table.from_pylist(lineage, schema=self.LINEAGE)
 
 
 def _manifest_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "_manifest")
+
+
+def _publish_jsonl(path: str, records) -> None:
+    def write(tmp):
+        with open(tmp, "w") as fh:
+            fh.writelines(json.dumps(r) + "\n" for r in records)
+    publish(path, write)
 
 
 def completed_partitions(out_dir: str) -> dict[str, dict]:
@@ -228,11 +225,7 @@ def invalidate_partitions(out_dir: str, pids) -> None:
             recs = [json.loads(l) for l in fh if l.strip()]
         keep = [r for r in recs if r["partition_id"] not in pids]
         if len(keep) != len(recs):
-            tmp = p + ".tmp"
-            with open(tmp, "w") as fh:
-                for r in keep:
-                    fh.write(json.dumps(r) + "\n")
-            os.replace(tmp, p)
+            _publish_jsonl(p, keep)
 
 
 def _fingerprint(**options) -> str:
@@ -272,11 +265,9 @@ def _route_wave(wave: list[str], out_dir: str, *, redact, raw_logs,
         RouterWriter(out_dir, sinks, emit), batch_format="pyarrow")
     if emit is not None:
         ds.context.execution_options.preserve_order = True
-    # (a wave of empty inputs: Ray's to_pandas of no rows has no columns)
-    lin = ds.to_pandas().reindex(columns=["partition_id", "sink", "file",
-                                          "rows_out", "bytes_out"])
-    return lin[lin["sink"] != "none"].assign(
-        wall_ms=(time.perf_counter() - t0) * 1000.0)
+    # (Ray's to_pandas of no rows has no columns)
+    lin = ds.to_pandas().reindex(columns=RouterWriter.LINEAGE.names)
+    return lin.assign(wall_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 def _commit_wave(wave: list[str], lin: pd.DataFrame, out_dir: str,
@@ -295,17 +286,11 @@ def _commit_wave(wave: list[str], lin: pd.DataFrame, out_dir: str,
     wall_ms = float(lin["wall_ms"].iloc[0]) if len(lin) else 0.0
     mpath = os.path.join(_manifest_dir(out_dir),
                          f"commit-{uuid.uuid4().hex[:12]}.jsonl")
-    tmp = mpath + ".tmp"
-    with open(tmp, "w") as fh:
-        for path in wave:
-            pid = partition_id(path)
-            fh.write(json.dumps({
-                "partition_id": pid, "status": "complete", "input": path,
-                "sinks": sink_map.get(pid, {}), "wall_ms": wall_ms,
-                "fingerprint": fingerprint,
-                "payloads": payloads.get(pid, []),
-            }) + "\n")
-    os.replace(tmp, mpath)
+    _publish_jsonl(mpath, [
+        {"partition_id": pid, "status": "complete", "input": path,
+         "sinks": sink_map.get(pid, {}), "wall_ms": wall_ms,
+         "fingerprint": fingerprint, "payloads": payloads.get(pid, [])}
+        for path, pid in zip(wave, map(partition_id, wave))])
 
 
 def _run_waves(input_files: list[str], out_dir: str, *, step: int | None,

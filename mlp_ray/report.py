@@ -15,11 +15,13 @@ values, and the HTML report builds only the rows it shows."""
 from __future__ import annotations
 
 import json
-import os
 from itertools import chain
+from pathlib import Path
 from typing import Any
 
 import pandas as pd
+
+from .util import publish
 
 TOP_QUERY_HASHES = 100  # JsonReportGenerator.java:251
 
@@ -207,20 +209,6 @@ def _build_report(results: dict[str, pd.DataFrame], limit: int | None, *,
     return report
 
 
-def _write_atomic(path: str, write) -> None:
-    """``write(fh)`` into ``<path>.tmp``, then rename it over ``path``;
-    a failed write leaves neither a partial ``path`` nor the tmp file."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 _FLAT_TYPES = {str, int, float, bool, type(None)}
 _JSON_CHUNK_ROWS = 100
 # ensure_ascii escapes every control character, so a raw newline in an
@@ -276,7 +264,11 @@ def _dump_json(fh, v: Any, level: int = 0) -> None:
 def write_json_report(results: dict[str, pd.DataFrame], path: str,
                       **kw) -> dict[str, Any]:
     rep = build_report(results, **kw)
-    _write_atomic(path, lambda fh: _dump_json(fh, rep))
+
+    def write(tmp):
+        with open(tmp, "w") as fh:
+            _dump_json(fh, rep)
+    publish(path, write)
     return rep
 
 
@@ -488,7 +480,7 @@ def write_html_report(results: dict[str, pd.DataFrame], path: str,
                 "</div><div class='sec-body'>" + "".join(inner) +
                 "</div></div>")
     parts.append(f"<script>{_HTML_JS}</script>")
-    _write_atomic(path, lambda fh: fh.write("\n".join(parts)))
+    publish(path, lambda tmp: Path(tmp).write_text("\n".join(parts)))
 
 
 def console_report(results: dict[str, pd.DataFrame], *, top: int = 10) -> str:

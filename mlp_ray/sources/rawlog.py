@@ -48,13 +48,14 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import schema as S
-from ..util import file_sizes
+from ..util import file_sizes, publish
 
 MAX_LINE_BYTES = 1 << 20  # 1 MB, LogParser.java:631
 
@@ -978,19 +979,11 @@ def write_raw_log_fixture(out_dir: str, n_rows: int, *, seed: int = 42,
                 buf_lines.append(f"plain text noise line {k}")
             buf_lines.append(ln)
         data = ("\n".join(buf_lines) + "\n").encode()
-        # atomic + byte-deterministic: tmp + rename prevents torn
-        # in-place writes under racing processes, and mtime=0 keeps the
-        # gzip header (which otherwise embeds wall-clock) reproducible
-        tmp = f"{path}.tmp-{os.getpid()}"
         if compress:
-            with open(tmp, "wb") as raw:
-                with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as fh:
-                    fh.write(data)
-        else:
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-        os.replace(tmp, path)
-        paths.append(path)
+            # byte-deterministic: a gzip header with mtime=0 and no
+            # file name (the temp file's name would carry the pid)
+            data = gzip.compress(data, mtime=0)
+        paths.append(publish(path, lambda tmp: Path(tmp).write_bytes(data)))
     return paths
 
 

@@ -21,6 +21,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from . import schema as S
+from .util import publish
 
 CHUNK = 8192
 
@@ -311,7 +312,5 @@ def write_events_tok(out_dir: str, n_rows: int, seed: int = 42,
             generate_chunk(c, n_rows, seed, tok_mean)
             for c in range(f_i, min(f_i + chunks_per_file, n_chunks))
         )
-        tmp = path + ".tmp"
-        pq.write_table(tbl, tmp, compression="zstd")
-        os.replace(tmp, path)
+        publish(path, lambda tmp: pq.write_table(tbl, tmp, compression="zstd"))
     return paths

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -294,12 +296,30 @@ def fixture_path(prefix: str, sf_dir: str) -> str:
     """Per-``sf_dir`` oracle-fixture path under /tmp (a pure function
     of the input directory so the driver's sf0.001 entry() run can't
     clobber the sf0.01 comparison fixture)."""
-    import os
     import re
 
     slug = re.sub(r"[^A-Za-z0-9._-]+", "_",
                   os.path.abspath(sf_dir)).strip("_")
     return f"/tmp/mlp_{prefix}_{slug}.parquet"
+
+
+def publish(path: str, write) -> str:
+    """Make a file visible at ``path`` whole or not at all: ``write(tmp)``
+    writes it under ``<path>.tmp-<pid>`` in the same directory, then
+    one ``os.replace`` puts it at ``path``.  If ``write`` raises, the
+    temp file is removed.  Readers skip that name: a directory's Parquet
+    files are its ``*.parquet`` (``_discoverable``), route's manifest
+    its ``*.jsonl``, the raw-log fixture its names without ``.tmp-``.
+    Returns ``path``."""
+    tmp = f"{path}.tmp-{os.getpid()}"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    return path
 
 
 FIXTURE_KEY_META = b"mlp_fixture_key"
@@ -310,10 +330,8 @@ def fixture_key_matches(path: str, key: str) -> bool:
     key equals ``key``.  The key rides the parquet schema metadata of
     the data file itself, so key+data are ONE atomic artifact — the
     r4 two-file scheme (data + ``.src`` marker as separate
-    ``os.replace`` steps) let two concurrent builders interleave into
+    renames) let two concurrent builders interleave into
     a marker from key A guarding data from key B (ADVICE r4)."""
-    import os
-
     import pyarrow.parquet as _pq
 
     if not os.path.exists(path):
@@ -328,17 +346,13 @@ def fixture_key_matches(path: str, key: str) -> bool:
 def write_fixture_atomic(path: str, tbl, key: str, **write_kwargs) -> str:
     """Atomically persist ``tbl`` at ``path`` with ``key`` embedded in
     the parquet metadata (see ``fixture_key_matches``)."""
-    import os
-
     import pyarrow.parquet as _pq
 
     meta = dict(tbl.schema.metadata or {})
     meta[FIXTURE_KEY_META] = key.encode()
     tbl = tbl.replace_schema_metadata(meta)
-    tmp = f"{path}.tmp-{os.getpid()}"
-    _pq.write_table(tbl, tmp, **write_kwargs)
-    os.replace(tmp, path)
-    return path
+    return publish(path, lambda tmp: _pq.write_table(tbl, tmp,
+                                                     **write_kwargs))
 
 
 def ensure_fixture(path: str, key: str, build) -> str:
