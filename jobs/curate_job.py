@@ -1,7 +1,7 @@
 """Cluster job entrypoint: the corpus-curation hygiene pass as one Ray
 job — quality gate → benchmark decontamination → exact dedup →
 stratified sample (``pipelines/curate.curate``), survivors written as
-partitioned parquet.  For the FULL prep path (tokenize, leakage-safe
+Parquet shards.  For the FULL prep path (tokenize, leakage-safe
 split, packing, stage-level resume) submit ``python -m mlp_ray
 prepare`` the same way — this job is the lighter hygiene-only front.
 
@@ -10,13 +10,14 @@ On a real fixed-size cluster:
     ray job submit --address http://<head>:8265 \
         --working-dir . -- python jobs/curate_job.py \
         --input s3://corpus/docs --benchmark s3://evals/bench_docs \
-        --out s3://curated/run1
+        --out /mnt/shared/curated/run1
 
 (remote inputs are directories or single files — object-store URIs
-pass through to ``read_parquet`` untouched; shell-style wildcards only
-expand for LOCAL paths).  The same file runs unchanged against a local
-session (``RAY_ADDRESS=local``), which is how this sandbox exercises
-it.  Scale notes, stage by stage:
+pass through to ``util.read_parquet_files`` untouched; shell-style
+wildcards only expand for LOCAL paths); ``--out`` is a path every node
+can write (a shared mount), since shards are renamed into place.  The
+same file runs unchanged against a local session
+(``RAY_ADDRESS=local``).  Scale notes, stage by stage:
 
 - quality gate + decontamination probe + content hash: ONE fused
   ``map_batches`` task — the benchmark gram set broadcasts once
@@ -25,8 +26,10 @@ it.  Scale notes, stage by stage:
 - exact dedup + md5-gated stratified sample: ONE text-hash-bucketed
   exchange; within-batch partials pre-combine before it.
 - output: the curated survivor table ``(doc_id, lang, quality_score,
-  dup_count)`` as a parquet directory (one file per output block) —
-  join text back from the source by doc_id when materializing.
+  dup_count)`` as ``<out>/curated/curated-<hash>.parquet`` shards
+  (``util.write_shards``) — join text back from the source by doc_id
+  when materializing.  A re-submitted job runs again (no resume) and
+  leaves its own shards only.
 """
 
 from __future__ import annotations
@@ -57,26 +60,21 @@ def main(argv=None):
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
-    import ray.data as rd
-
     from mlp_ray.ops import scrub
     from mlp_ray.pipelines import curate as curate_mod
+    from mlp_ray.util import read_parquet_files, write_shards
 
     def expand(p: str) -> list[str]:
         # glob only applies to LOCAL paths; object-store URIs go to
-        # read_parquet as-is (directory or file)
-        if "://" in p:
-            return [p]
-        if os.path.isdir(p):
-            return sorted(glob.glob(os.path.join(p, "*.parquet"))) or [p]
-        return sorted(glob.glob(p)) or [p]
+        # the reader as-is (directory or file)
+        return [p] if "://" in p else sorted(glob.glob(p)) or [p]
 
     t0 = time.perf_counter()
-    docs = rd.read_parquet(expand(args.input),
-                           columns=["doc_id", "text", "lang"])
+    docs = read_parquet_files(expand(args.input),
+                              columns=["doc_id", "text", "lang"])
     if args.benchmark:
-        bench_docs = rd.read_parquet(expand(args.benchmark),
-                                     columns=["text"])
+        bench_docs = read_parquet_files(expand(args.benchmark),
+                                        columns=["text"])
     else:
         # default held-out slice: the repo's shared eval-set
         # convention (doc_id % 53, ops/scrub.bench_slice)
@@ -84,9 +82,10 @@ def main(argv=None):
     bg = scrub.benchmark_gram_set(bench_docs, k=5)
     kept = curate_mod.curate(docs, bg, quality_min=args.quality_min)
     out_dir = os.path.join(args.out, "curated")
-    kept.write_parquet(out_dir)
+    _, rows = write_shards(kept, out_dir, "curated")
     summary = {"curate_sec": round(time.perf_counter() - t0, 3),
-               "bench_grams": int(len(bg)), "out": out_dir}
+               "bench_grams": int(len(bg)), "curated_docs": rows,
+               "out": out_dir}
     print(json.dumps(summary))
     ray.shutdown()
 

@@ -12,6 +12,9 @@
   python -m mlp_ray synth --rows N --out DIR       # fixture generator
 
 Owns the Ray session (the library itself never calls ray.init).
+trim, redact and curate write --out as content-named shards
+(``util.write_shards``): a re-run leaves its own shards only, and files
+that are not the command's shards stay.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ def cmd_analyze(args):
     from .pipelines import analyze
     from .stages.filters import FilterConfig, NamespaceFilter
     from . import report as report_mod
+    from .util import publish
 
     t0 = time.perf_counter()
     fc = (FilterConfig.from_properties_file(args.config)
@@ -76,9 +80,7 @@ def cmd_analyze(args):
         exclude=frozenset(
             (["driver_stats"] if args.no_drivers else [])
             + (["app_conns"] if args.no_app_stats else [])))
-    os.makedirs(args.out, exist_ok=True)
-    for name, df in results.items():
-        df.to_csv(os.path.join(args.out, f"{name}.csv"), index=False)
+    csvs = dict(results)
     if getattr(args, "drivers_single_pass", False):
         # the legacy bounded-memory streaming accumulator, emitted as
         # its own sink CSV (kept out of `results` so the JSON/HTML
@@ -87,9 +89,11 @@ def cmd_analyze(args):
 
         cds = analyze.classify(_load(args), redact=not args.no_redact,
                                filter_config=fc, ns_filter=nf)
-        driver_stats_single_pass(cds).to_csv(
-            os.path.join(args.out, "driver_stats_single_pass.csv"),
-            index=False)
+        csvs["driver_stats_single_pass"] = driver_stats_single_pass(cds)
+    os.makedirs(args.out, exist_ok=True)
+    for name, df in csvs.items():
+        publish(os.path.join(args.out, f"{name}.csv"),
+                lambda tmp: df.to_csv(tmp, index=False))
     # K3 structured JSON report + K4 static HTML + K5 console tables
     report_mod.write_json_report(
         results, os.path.join(args.out, "report.json"),
@@ -125,8 +129,13 @@ def cmd_route(args):
     print(lin.to_string())
 
 
+def _lines(col):  # write_shards encoder: ``col`` as newline-ended lines
+    return lambda t: "".join(s + "\n" for s in t[col].to_pylist()).encode()
+
+
 def cmd_trim(args):
     from .ops import trim
+    from .util import read_parquet_files, write_shards
 
     redactor = None
     if args.redact:
@@ -157,12 +166,7 @@ def cmd_trim(args):
             print(json.dumps(stats), file=sys.stderr)
             return
         _init_ray(args.cpus)
-        import hashlib
-        from pathlib import Path
-
-        import pyarrow as pa
         from .sources import rawlog
-        from .util import publish
 
         ds = rawlog.read_raw_logs(args.inputs).map_batches(
             lambda t: trim.trim_lines_batch(t, redactor=redactor,
@@ -176,79 +180,55 @@ def cmd_trim(args):
                     n += 1
             print(json.dumps({"emitted": n}), file=sys.stderr)
             return
-        os.makedirs(args.out, exist_ok=True)
-        out_dir = args.out
-
-        def write_shard(batch: pa.Table) -> pa.Table:
-            lines = batch["trimmed"].to_pylist()
-            data = ("\n".join(lines) + "\n").encode() if lines else b""
-            # content-hash names: a retried task overwrites, never dupes
-            tag = hashlib.blake2b(data, digest_size=8).hexdigest()
-            path = publish(os.path.join(out_dir, f"trimmed-{tag}.jsonl"),
-                           lambda tmp: Path(tmp).write_bytes(data))
-            return pa.table({"path": [path], "lines": [len(lines)]})
-
-        lin = ds.map_batches(write_shard, batch_format="pyarrow").to_pandas()
-        print(f"wrote {int(lin['lines'].sum())} trimmed lines to {args.out}")
+        _, n = write_shards(ds, args.out, "trimmed", "jsonl",
+                            _lines("trimmed"))
+        print(f"wrote {n} trimmed lines to {args.out}")
         return
 
     _init_ray(args.cpus)
-    import ray.data as rd
-
-    ds = rd.read_parquet(args.inputs)
-    out = ds.map_batches(
+    out = read_parquet_files(args.inputs).map_batches(
         lambda t: trim.trim_batch(t, col=args.col, redactor=redactor),
         batch_format="pyarrow")
-    out.write_parquet(args.out)
-    # from the footers: counting ``out`` would run read and trim again
-    print(f"wrote {rd.read_parquet(args.out).count()} rows to {args.out}")
+    _, n = write_shards(out, args.out, "trimmed")
+    print(f"wrote {n} rows to {args.out}")
 
 
 def cmd_redact(args):
     """Whole-file redaction: every log line through the preserve-path
-    whitelist walk (reference --redact mode, LogRedactionUtil.java)."""
+    whitelist walk (reference --redact mode, LogRedactionUtil.java),
+    one gzip shard per log file."""
     _init_ray(args.cpus)
     import gzip
-    import hashlib
 
-    import pyarrow as pa
+    import pyarrow.compute as pc
     from .sources import rawlog
     from .stages.redact import redact_lines_batch
-    from .util import publish
+    from .util import write_shards
 
-    ds = rawlog.read_raw_logs(args.inputs)
-    os.makedirs(args.out, exist_ok=True)
-    out_dir = args.out
+    def redact(t):
+        red = redact_lines_batch(t)
+        return red.filter(pc.is_valid(red["text"]))
 
-    def write_batch(batch: pa.Table) -> pa.Table:
-        red = redact_lines_batch(batch)
-        lines = [v for v in red["text"].to_pylist() if v is not None]
-        data = ("\n".join(lines) + "\n").encode()
-        # content-hash names: a retried task overwrites, not duplicates
-        tag = hashlib.blake2b(data, digest_size=8).hexdigest()
-        def write(tmp):
-            with gzip.open(tmp, "wb") as fh:
-                fh.write(data)
-        path = publish(os.path.join(out_dir, f"redacted-{tag}.log.gz"), write)
-        return pa.table({"path": [path], "lines": [len(lines)]})
-
-    lin = ds.map_batches(write_batch, batch_format="pyarrow").to_pandas()
-    print(f"wrote {int(lin['lines'].sum())} redacted lines to {args.out}")
+    ds = rawlog.read_raw_logs(args.inputs).map_batches(
+        redact, batch_format="pyarrow")
+    # mtime=0: the same lines give the same bytes in every run
+    _, n = write_shards(ds, args.out, "redacted", "log.gz",
+                        lambda t: gzip.compress(_lines("text")(t), mtime=0))
+    print(f"wrote {n} redacted lines to {args.out}")
 
 
 def cmd_curate(args):
     """Corpus curation over a documents table: quality gate →
     benchmark decontamination → exact dedup → stratified sample,
-    written as partitioned parquet plus an attrition summary."""
-    import ray.data as rd
-
+    written as Parquet shards plus an attrition summary."""
     from .ops import scrub
     from .pipelines import curate as curate_pipeline
+    from .util import read_parquet_files, write_shards
 
     _init_ray(args.cpus)
-    docs = rd.read_parquet(args.inputs, columns=["doc_id", "text", "lang"])
+    docs = read_parquet_files(args.inputs, columns=["doc_id", "text", "lang"])
     if args.benchmark:
-        bench = rd.read_parquet(args.benchmark, columns=["doc_id", "text"])
+        bench = read_parquet_files(args.benchmark, columns=["doc_id", "text"])
     else:
         from .pipelines.queries import _bench_docs
         bench = _bench_docs(docs)
@@ -258,8 +238,7 @@ def cmd_curate(args):
     out = curate_pipeline.curate(
         docs, bg, quality_min=args.quality_min, k=args.gram_k,
         rates=rates, default_rate=args.default_rate)
-    out.write_parquet(args.out)
-    kept = rd.read_parquet(args.out).count()
+    _, kept = write_shards(out, args.out, "curated")
     total = docs.count()
     print(json.dumps({"input_docs": total, "curated_docs": kept,
                       "benchmark_grams": int(len(bg)),

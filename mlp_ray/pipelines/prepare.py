@@ -10,7 +10,7 @@ parts:
   → deterministic md5 train/val/test split   (row-local)
   → per-split token-stream packing           (pack_materialize: two-
                                               pass scan, real buffers)
-  → partitioned parquet per split            (resumable layout)
+  → Parquet shards per split                 (resumable layout)
 
 Shuffle budget over the corpus: the dedup exchange (full rows, once)
 and pack_materialize's fragment+bin exchanges (int32 payloads, twice)
@@ -18,9 +18,10 @@ and pack_materialize's fragment+bin exchanges (int32 payloads, twice)
 corpus is WRITTEN ONCE to ``<out>/tokenized`` and each split's packing
 reads it back column-pruned — no triple recompute, no object-store
 pinning.  A rerun into the same ``out_dir`` is idempotent (each stage
-directory is replaced before its write), and the persisted tokenized
-table lets a user re-pack at a different ``cap`` without re-running
-the gates or the tokenizer.
+writes through ``util.write_shards``, which deletes the shards the run
+did not write), and the persisted tokenized table lets a user re-pack
+at a different ``cap`` without re-running the gates or the
+tokenizer.
 
 Document-split stability: the md5 split gate depends only on doc_id,
 so re-sharding or resuming can never migrate a document across the
@@ -30,7 +31,6 @@ eval boundary (ops/scrub.hash_split).
 from __future__ import annotations
 
 import os
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ from ..ops.dedup import _bucketed, _cached_stage
 from ..ops.pack import pack_materialize
 from ..ops.scrub import _distinct_grams_per_doc
 from ..ops.text import md5_hash_batch
-from ..util import publish
+from ..util import publish, write_shards
 
 SPLITS = ("train", "val", "test")
 
@@ -71,7 +71,7 @@ def prepare_training_data(docs_ds: rd.Dataset, out_dir: str, *,
     resumes without re-running the gates, the dedup exchange or the
     tokenizer; a parameter change (e.g. a different ``cap``) naturally
     invalidates exactly the stages it shapes.  ``None`` (default)
-    keeps the replace-everything semantics."""
+    rewrites every stage."""
     ref = (ray.put(np.asarray(bench_grams, dtype=np.uint64))
            if bench_grams is not None and len(bench_grams) else None)
     n_bg = 0 if bench_grams is None else len(bench_grams)
@@ -110,21 +110,18 @@ def prepare_training_data(docs_ds: rd.Dataset, out_dir: str, *,
 
     # survivors are consumed twice (vocab pass + tokenize pass): write
     # them once and read back — nothing corpus-sized is pinned in the
-    # object store.  Each stage dir is REPLACED before its write so a
-    # rerun into the same out_dir is idempotent (write_parquet appends
-    # uniquely-named files and would otherwise double every row)
+    # object store
     surv_dir = os.path.join(out_dir, "survivors")
-    if not _stage_done(surv_dir, surv_key):
-        shutil.rmtree(surv_dir, ignore_errors=True)
-        survivors.write_parquet(surv_dir)
-        _mark_stage(surv_dir, surv_key)
+    _run_stage(surv_dir, surv_key,
+               lambda: write_shards(survivors, surv_dir, "survivors"))
     if not _parquet_files(surv_dir):
         return pd.DataFrame({"split": list(SPLITS),
                              "n_bins": np.zeros(3, np.int64),
                              "n_tokens": np.zeros(3, np.int64)})
 
     tok_dir = os.path.join(out_dir, "tokenized")
-    if not _stage_done(tok_dir, tok_key):
+
+    def tokenize():
         surv = rd.read_parquet(surv_dir, columns=[id_col, "text"])
         # vocabulary from the SURVIVING corpus (contaminated/dup text
         # must not shape ids), then tokenize + split and persist ONCE
@@ -135,10 +132,10 @@ def prepare_training_data(docs_ds: rd.Dataset, out_dir: str, *,
             concurrency=(1, 8))
         tokenized = scrub.hash_split(tokenized, id_col=id_col,
                                      val_pct=val_pct, test_pct=test_pct)
-        shutil.rmtree(tok_dir, ignore_errors=True)
-        (tokenized.select_columns([id_col, "tokens", "n_tok", "split"])
-         .write_parquet(tok_dir))
-        _mark_stage(tok_dir, tok_key)
+        write_shards(tokenized.select_columns(
+            [id_col, "tokens", "n_tok", "split"]), tok_dir, "tokenized")
+
+    _run_stage(tok_dir, tok_key, tokenize)
 
     rows = []
     for split in SPLITS:
@@ -157,11 +154,9 @@ def prepare_training_data(docs_ds: rd.Dataset, out_dir: str, *,
         split_dir = os.path.join(out_dir, "packed", split)
         pack_key = (None if tok_key is None
                     else f"{tok_key}|cap={cap}|split={split}")
-        if not _stage_done(split_dir, pack_key):
-            packed = pack_materialize(ds, cap=cap, order_col="doc_key")
-            shutil.rmtree(split_dir, ignore_errors=True)
-            packed.write_parquet(split_dir)
-            _mark_stage(split_dir, pack_key)
+        _run_stage(split_dir, pack_key, lambda: write_shards(
+            pack_materialize(ds, cap=cap, order_col="doc_key"), split_dir,
+            split))
         # an empty split writes no files; read back only when it did.
         # summary = distributed Count/Sum aggregate — at 100 TB / cap
         # 2048 the bin table is ~10^9 rows, so a to_pandas() collect
@@ -188,31 +183,23 @@ def _parquet_files(d: str) -> list[str]:
     return [f for f in os.listdir(d) if f.endswith(".parquet")]
 
 
-def _stage_done(stage_dir: str, key: str | None) -> bool:
-    """True iff the stage's completion marker matches ``key`` (None —
-    resume off — is never done; the dir is wiped and rebuilt)."""
+def _run_stage(stage_dir: str, key: str | None, write) -> None:
+    """Run ``write()``, which fills ``stage_dir``, unless its
+    ``_DONE.json`` marker matches ``key`` (None never does).  The old
+    marker goes first and the new one comes after ``write()`` returns,
+    so a killed or resume-off stage is never taken as done."""
     import json
 
-    if key is None:
-        return False
     marker = os.path.join(stage_dir, "_DONE.json")
-    if not os.path.exists(marker):
-        return False
     try:
         with open(marker) as fh:
-            return json.load(fh).get("key") == key
-    except Exception:
-        return False
-
-
-def _mark_stage(stage_dir: str, key: str | None) -> None:
-    """Write the completion marker AFTER the stage's parquet is fully
-    on disk (atomic rename) — a kill between write and mark simply
-    re-runs that one stage."""
-    import json
-
-    if key is None:
-        return
-    os.makedirs(stage_dir, exist_ok=True)
-    publish(os.path.join(stage_dir, "_DONE.json"),
-            lambda tmp: Path(tmp).write_text(json.dumps({"key": key})))
+            if key is not None and json.load(fh).get("key") == key:
+                return
+    except (OSError, ValueError):
+        pass
+    if os.path.exists(marker):
+        os.remove(marker)
+    write()
+    if key is not None:
+        publish(marker,
+                lambda tmp: Path(tmp).write_text(json.dumps({"key": key})))

@@ -6,9 +6,7 @@ Mirrors ``JsonReportGenerator.java:29-89`` — a metadata header plus one
 section per accumulator, every table sorted count-desc
 (``:110-113``), the query-hash section capped at the top 100
 (``:249-251``), operation-type stats carrying percentages
-(``:186-206``). R10 formatting helpers (bytes/duration → human,
-``LogRedactionUtil.java:470-620``) live here because they are
-report-layer only.  Records are built column by column; the JSON file
+(``:186-206``).  Records are built column by column; the JSON file
 keeps ``json.dump(indent=2)``'s bytes but is written from C-encoded
 values, and the HTML report builds only the rows it shows."""
 
@@ -24,33 +22,6 @@ import pandas as pd
 from .util import publish
 
 TOP_QUERY_HASHES = 100  # JsonReportGenerator.java:251
-
-
-# --- R10 formatting helpers -------------------------------------------------
-def human_bytes(n: float | int | None) -> str | None:
-    if n is None or pd.isna(n):
-        return None
-    n = float(n)
-    for unit in ("B", "KB", "MB", "GB", "TB", "PB"):
-        if abs(n) < 1024.0 or unit == "PB":
-            return f"{n:.1f} {unit}" if unit != "B" else f"{int(n)} B"
-        n /= 1024.0
-
-
-def human_duration(ms: float | int | None) -> str | None:
-    if ms is None or pd.isna(ms):
-        return None
-    ms = float(ms)
-    if ms < 1000:
-        return f"{ms:.0f}ms"
-    s = ms / 1000.0
-    if s < 60:
-        return f"{s:.1f}s"
-    m, s = divmod(s, 60.0)
-    if m < 60:
-        return f"{int(m)}m {s:.0f}s"
-    h, m = divmod(m, 60.0)
-    return f"{int(h)}h {int(m)}m"
 
 
 def _records(df: pd.DataFrame, *, sort_by: str | None = "count",

@@ -309,8 +309,8 @@ def publish(path: str, write) -> str:
     one ``os.replace`` puts it at ``path``.  If ``write`` raises, the
     temp file is removed.  Readers skip that name: a directory's Parquet
     files are its ``*.parquet`` (``_discoverable``), route's manifest
-    its ``*.jsonl``, the raw-log fixture its names without ``.tmp-``.
-    Returns ``path``."""
+    its ``*.jsonl``, the raw-log fixture its names without ``.tmp-``;
+    ``write_shards`` deletes its own.  Returns ``path``."""
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
         write(tmp)
@@ -320,6 +320,58 @@ def publish(path: str, write) -> str:
             os.remove(tmp)
         raise
     return path
+
+
+def parquet_bytes(t):
+    """``t`` as the bytes of one Parquet file (a ``pa.Buffer``)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    buf = pa.BufferOutputStream()
+    pq.write_table(t, buf)
+    return buf.getvalue()
+
+
+def write_shards(ds, out_dir: str, stem: str, ext: str = "parquet",
+                 encode=parquet_bytes) -> tuple[list[str], int]:
+    """Write ``ds`` into ``out_dir`` in place of an earlier run's shards:
+    one Ray map publishes each block's ``encode(table)`` bytes as
+    ``<stem>-<16 hex of their blake2b>.<ext>`` (a retried task rewrites
+    the same bytes; a block with no rows writes nothing; equal blocks
+    share a file), then every ``<stem>-<16 hex>.<ext>`` file or its
+    ``.tmp-<pid>`` in ``out_dir`` that this run did not write is
+    deleted; no other file is touched.  Returns the written paths,
+    sorted, and the rows in them."""
+    import hashlib
+    import re
+
+    import pyarrow as pa
+
+    os.makedirs(out_dir, exist_ok=True)
+
+    def write(t: pa.Table) -> pa.Table:
+        if not t.num_rows:
+            return pa.table({"path": pa.array([], pa.string()),
+                             "rows": pa.array([], pa.int64())})
+        data = encode(t)
+        tag = hashlib.blake2b(data, digest_size=8).hexdigest()
+
+        def write_bytes(tmp):
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+        path = publish(os.path.join(out_dir, f"{stem}-{tag}.{ext}"),
+                       write_bytes)
+        return pa.table({"path": [path], "rows": [t.num_rows]})
+
+    written = {r["path"]: r["rows"] for r in
+               ds.map_batches(write, batch_format="pyarrow").take_all()}
+    shard = re.compile(
+        rf"{re.escape(stem)}-[0-9a-f]{{16}}\.{re.escape(ext)}(\.tmp-\d+)?")
+    for name in os.listdir(out_dir):
+        path = os.path.join(out_dir, name)
+        if shard.fullmatch(name) and path not in written:
+            os.remove(path)
+    return sorted(written), sum(written.values())
 
 
 FIXTURE_KEY_META = b"mlp_fixture_key"

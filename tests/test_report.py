@@ -1,4 +1,4 @@
-"""K3 JSON report, K5 console tables, R5/R8/R9/R10 helpers."""
+"""K3 JSON report, K5 console tables, R5/R8/R9 helpers."""
 
 import json
 
@@ -52,17 +52,6 @@ def test_annotate_json_col():
     assert out["is_truncated"].to_pylist() == [True, False, None, None]
     assert out["query_source"].to_pylist() == \
         ["mongod", "mongos", None, None]
-
-
-# --- R10 formatting ----------------------------------------------------
-def test_human_formatters():
-    assert report.human_bytes(512) == "512 B"
-    assert report.human_bytes(2048) == "2.0 KB"
-    assert report.human_bytes(5 * 1024**3) == "5.0 GB"
-    assert report.human_duration(250) == "250ms"
-    assert report.human_duration(2500) == "2.5s"
-    assert report.human_duration(125000) == "2m 5s"
-    assert report.human_bytes(None) is None
 
 
 # --- K3 report structure -----------------------------------------------
