@@ -4,9 +4,13 @@ On a real fixed-size cluster this is submitted as
 
     ray job submit --address http://<head>:8265 \
         --working-dir . -- python jobs/route_job.py \
-        --input s3://corpus/shards --out s3://sinks/run1
+        --input s3://corpus/shards --out /mnt/shared/sinks/run1
 
-and the same file runs unchanged against a local session
+(``--out`` is a path every node can write, a shared mount: the sink
+files, the manifest and the aggregate are written with local
+``open``/``os.replace`` through ``util.publish``, so an object-store
+URI cannot work there), and the same file runs unchanged against a
+local session
 (``RAY_ADDRESS=local python jobs/route_job.py --input ... --out ...``),
 which is how it is exercised in this sandbox (no multi-node cluster
 available; the N-vs-4N scaling evidence instead comes from

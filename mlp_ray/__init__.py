@@ -14,7 +14,9 @@ Architecture (SURVEY.md §7):
 
 The engine never calls ``ray.init``/``ray.shutdown`` — sessions are
 owned by the caller (bench.py / CLI / test fixture), per the driver
-contract.
+contract.  Its first read in a Ray job does submit a few import-only
+warm-up tasks (``util.warm_workers``), so the job's first stage task
+finds a worker that has already imported the engine.
 """
 
 __version__ = "0.1.0"

@@ -55,7 +55,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import schema as S
-from ..util import file_sizes, publish
+from ..util import file_sizes, publish, session_cpus, warm_workers
 
 MAX_LINE_BYTES = 1 << 20  # 1 MB, LogParser.java:631
 
@@ -144,7 +144,9 @@ def read_raw_logs(paths):
     sniffed too).  A member is decompressed by exactly one task; zip
     has no splittable stream, the same constraint the reference has.
     One block per file at any CPU count: a split read output would keep
-    ``ReadLogText`` out of ``parse_batch``'s fused task."""
+    ``ReadLogText`` out of ``parse_batch``'s fused task.  The first read
+    of a Ray job runs ``util.warm_workers`` first, with one task per
+    file up to the session's CPUs."""
     import zipfile
 
     import ray.data as rd
@@ -165,8 +167,10 @@ def read_raw_logs(paths):
                         yield _lines(_inflate(pa.BufferReader(
                             zf.read(name))), name)
 
+    blocks = len(file_sizes(paths))
+    warm_workers(min(blocks, session_cpus()))
     return rd.read_datasource(LogText(paths, include_paths=True),
-                              override_num_blocks=len(file_sizes(paths)))
+                              override_num_blocks=blocks)
 
 
 def shard_from_path(path: str) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -251,6 +252,8 @@ def read_parquet_files(paths, *, columns: list[str] | None = None,
     column (Hive partitioning: a routed sink's ``part``).  Read in
     ``read_blocks`` blocks unless ``override_num_blocks`` is given; more
     blocks than files split each file's output, as Ray splits any read.
+    The first read of a Ray job runs ``warm_workers`` first, with one
+    task per block up to the session's CPUs.
 
     Unlike ``rd.read_parquet`` it plans nothing beyond the listing: no
     footer scan in the driver and no remote task sampling the files.
@@ -273,23 +276,64 @@ def read_parquet_files(paths, *, columns: list[str] | None = None,
     if not sizes:
         raise FileNotFoundError(f"no Parquet file under {paths}")
     files = list(sizes)
+    cpus = session_cpus()
+    blocks = override_num_blocks or read_blocks(files, cpus)
+    warm_workers(min(blocks, cpus))
     return rd.read_datasource(
         ParquetFiles(files, filesystem=fs, include_paths=include_paths,
                      partitioning=Partitioning("hive") if columns is None
                      else None),
-        override_num_blocks=override_num_blocks
-        or read_blocks(files, session_cpus()))
+        override_num_blocks=blocks)
 
 
 def session_cpus() -> int:
     """CPUs of the running Ray session.  Starts one the way a Dataset
     read would when none is up; the local machine's count would be
-    wrong on a cluster."""
+    wrong on a cluster.  ``read_parquet_files`` calls it once per read
+    and shares the value between ``read_blocks`` and ``warm_workers``."""
     import ray
     from ray._private.auto_init_hook import auto_init_ray
 
     auto_init_ray()
     return int(ray.cluster_resources().get("CPU", 1))
+
+
+# the Ray jobs, as (driver node, job id), whose first read has run
+# ``warm_workers``; a job id alone repeats in the next session
+_WARMED_JOBS: set[tuple[str, str]] = set()
+
+
+def _import_engine() -> None:
+    import mlp_ray.pipelines.analyze  # noqa: F401  every map task's import
+
+
+@functools.cache
+def _warm_task():
+    import ray
+
+    return ray.remote(_import_engine)
+
+
+def warm_workers(n: int) -> None:
+    """On the first read of a Ray job, submit ``n`` fire-and-forget
+    tasks that only import the engine's stage module; later reads submit
+    nothing.  A read's first ``Dataset`` blocks its driver while Ray
+    Data starts its stats actor, and then its first task would wait for
+    a new worker to start and import pyarrow, pandas, ``ray.data`` and
+    the engine: two start-ups back to back.  Submitted before the read,
+    the tasks take the idle workers and run those imports during the
+    driver's wait, so the first execution finds them warm.  The readers
+    pass ``min(planned read blocks, session CPUs)``; where Ray places
+    the tasks on a multi-node cluster is Ray's choice."""
+    import ray
+
+    ctx = ray.get_runtime_context()
+    job = (ctx.get_node_id(), ctx.get_job_id())
+    if job in _WARMED_JOBS:
+        return
+    _WARMED_JOBS.add(job)
+    for _ in range(n):
+        _warm_task().remote()
 
 
 def fixture_path(prefix: str, sf_dir: str) -> str:

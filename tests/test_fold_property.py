@@ -91,7 +91,7 @@ def _reference(t: pa.Table) -> pd.DataFrame:
             "max_val": v.max() if len(v) else None,
             "avg_val": v.mean() if len(v) else None,
             "p95_val": float(np.quantile(v, 0.95)) if len(v) else None,
-            "flag_count": int(g["flag"].fillna(False).sum()),
+            "flag_count": int(g["flag"].eq(True).sum()),
             "map_cat": json.dumps(
                 {k: int(c) for k, c in sorted(vc.items())}, sort_keys=True),
             "first_lbl": lbl.iloc[0] if len(lbl) else None,

@@ -34,8 +34,10 @@ def assert_frames_match(actual: pd.DataFrame, expected: pd.DataFrame,
     for c in a.columns:
         av, ev = a[c], e[c]
         if pd.api.types.is_float_dtype(av):
-            ok = np.isclose(av.fillna(np.nan), ev.fillna(np.nan),
-                            rtol=rtol, atol=atol, equal_nan=True)
+            # an all-missing expected column is object-typed: compare
+            # it as NaN floats
+            evf = ev.astype("float64") if ev.isna().all() else ev
+            ok = np.isclose(av, evf, rtol=rtol, atol=atol, equal_nan=True)
         else:
             ok = (av == ev) | (av.isna() & ev.isna())
         if not ok.all():
